@@ -101,7 +101,7 @@ def demo_plan() -> None:
     print("5. Repeated same-shape transposes: TransposePlan")
     print("=" * 64)
     plan = TransposePlan(500, 640)
-    print(plan, f"- precomputed gather maps: {plan.scratch_bytes/1e6:.1f} MB")
+    print(plan, f"- {len(plan.passes)} passes, O(1) plan state")
     rng = np.random.default_rng(0)
     for k in range(3):
         A = rng.standard_normal((500, 640))
@@ -109,6 +109,8 @@ def demo_plan() -> None:
         plan.execute(buf)
         ok = np.array_equal(buf.reshape(640, 500), A.T)
         print(f"  batch {k}: transposed in place, correct = {ok}")
+    # numpy executes keep int32 gather maps, built on the first one
+    print(f"  numpy gather maps held after the runs: {plan.scratch_bytes/1e6:.1f} MB")
 
 
 def main() -> None:

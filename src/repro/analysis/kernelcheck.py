@@ -408,7 +408,7 @@ def verify_kernel(
         spec = generate_source(dec, plan.algorithm, itemsize)
         if source is None:
             source = spec.source
-        report.passes = tuple(p.parallel_name for p in spec.passes)
+        report.passes = tuple(p.name for p in spec.passes)
         mn = dec.m * dec.n
         budget = 1_000_000 + 48 * mn
 
@@ -437,14 +437,12 @@ def verify_kernel(
         if missing:
             return report
 
-        if len(spec.passes) != len(plan._steps) or any(
-            p.kind != kind for p, (kind, _) in zip(spec.passes, plan._steps)
-        ):
+        if spec.passes != plan.passes:
             checks.append(
                 Check(
                     "layout", False,
                     f"codegen passes {[p.kind for p in spec.passes]} != "
-                    f"plan steps {[k for k, _ in plan._steps]}",
+                    f"plan passes {[p.kind for p in plan.passes]}",
                 )
             )
             return report
@@ -479,15 +477,13 @@ def verify_kernel(
 
         # -- per-pass execution, semantics, and chunk schedule ------------
         state = np.arange(mn, dtype=np.int64)
-        for i, (pinfo, (kind, payload)) in enumerate(
-            zip(spec.passes, plan._steps)
-        ):
-            tag = f"pass{i}-{pinfo.parallel_name}"
+        for i, pinfo in enumerate(spec.passes):
+            tag = f"pass{i}-{pinfo.name}"
             sym = pass_symbol(pinfo.kind)
+            # reference semantics: the engine's numpy pass body, evaluated
+            # from the plain (not strength-reduced) equations
             expected = state.copy()
-            TransposePlan._apply_step(
-                expected.reshape(dec.m, dec.n), kind, payload
-            )
+            plan.run_chunk(expected.reshape(dec.m, dec.n), i, 0, pinfo.extent)
 
             buf = _seeded_buffer(interp, state)
             try:

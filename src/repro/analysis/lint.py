@@ -1,6 +1,6 @@
 """AST-based custom lint pass enforcing repo invariants over ``src/repro``.
 
-Eight rules, each born from a class of bug this codebase has actually hit
+Nine rules, each born from a class of bug this codebase has actually hit
 or explicitly defends against:
 
 ``raw-divmod`` (REPRO001)
@@ -55,6 +55,16 @@ or explicitly defends against:
     genuinely exempt uses (e.g. a not-yet-streamed subsystem) carry an
     explicit suppression with rationale.
 
+``eager-index-map`` (REPRO009)
+    In the executors (``core/plan.py``, ``core/engine.py``, ``parallel/``,
+    ``stream/``, ``serve/``, ``native/``), calling a whole-matrix index
+    builder (any ``*_matrix`` function of :mod:`repro.core.equations` or
+    :class:`~repro.strength.reduced.ReducedEquations`) is banned: it
+    allocates ``O(mn)`` index state, against the paper's ``O(max(m, n))``
+    auxiliary-space bound.  Executors evaluate each chunk's index block
+    instead; the engine's one lazy numpy-map builder carries the only
+    suppression.
+
 Suppressions
 ------------
 Append ``# repro-lint: allow(<rule>[, <rule>...])`` to the offending line,
@@ -91,6 +101,7 @@ RULES = {
     "exception-swallow": ("REPRO006", "broad except drops the failure reason in a fallback path"),
     "event-trace-id": ("REPRO007", "structured event emitted without a trace_id keyword"),
     "whole-file-memmap": ("REPRO008", "unbounded np.memmap outside the streaming window"),
+    "eager-index-map": ("REPRO009", "O(mn) whole-matrix index map built in an executor"),
 }
 
 #: Modules (relative to the package root) where raw ``//``/``%`` is banned.
@@ -98,11 +109,13 @@ HOT_DIVMOD_MODULES = {
     "strength/reduced.py",
     "parallel/cpu.py",
     "core/plan.py",
+    "core/engine.py",
 }
 
 #: Modules whose functions execute plans (reshape/ravel scrutiny).
 PLAN_EXECUTION_MODULES = {
     "core/plan.py",
+    "core/engine.py",
     "core/batched.py",
     "parallel/cpu.py",
     "core/transpose.py",
@@ -112,8 +125,8 @@ PLAN_EXECUTION_MODULES = {
 ENTRY_POINT_GUARDS = [
     ("core/transpose.py", "transpose_inplace"),
     ("core/transpose.py", "transpose"),
-    ("core/plan.py", "TransposePlan.execute"),
-    ("core/batched.py", "BatchedTransposePlan.execute"),
+    # one method serves TransposePlan and its BatchedTransposePlan alias
+    ("core/engine.py", "TransposePlan.execute"),
     ("parallel/cpu.py", "ParallelTranspose.c2r"),
     ("parallel/cpu.py", "ParallelTranspose.r2c"),
 ]
@@ -133,6 +146,13 @@ _BROAD_EXCEPTIONS = {"Exception", "BaseException"}
 #: window is the one place allowed to hold the mapping, because it is the
 #: component that bounds its residency.
 MEMMAP_EXEMPT_PREFIX = "stream/"
+
+#: Modules / directory prefixes where whole-matrix index builders are
+#: banned (the executors); ``core/c2r.py``, ``core/r2c.py``,
+#: ``core/steps.py`` and ``analysis/`` keep using them.
+EAGER_INDEX_MAP_SCOPE = (
+    "core/plan.py", "core/engine.py", "parallel/", "stream/", "serve/", "native/",
+)
 
 _CONTIGUITY_MARKERS = ("C_CONTIGUOUS", "F_CONTIGUOUS")
 #: Recording calls whose receivers are tracers/registries; flagged when the
@@ -213,6 +233,9 @@ class _Analyzer(ast.NodeVisitor):
         self.in_lock_module = self.rel_posix.startswith(LOCK_MODULE_PREFIX)
         self.in_swallow_module = self.rel_posix.startswith(
             EXCEPTION_SWALLOW_PREFIXES
+        )
+        self.in_executor_module = self.rel_posix.startswith(
+            EAGER_INDEX_MAP_SCOPE
         )
         #: qualname -> FunctionDef for entry-guard lookups
         self.functions: dict[str, ast.AST] = {}
@@ -328,6 +351,17 @@ class _Analyzer(ast.NodeVisitor):
                 "whole-file-memmap", node,
                 "np.memmap outside stream/ has an unbounded resident set; "
                 "route file-backed matrices through repro.stream",
+            )
+        # eager-index-map: a whole-matrix index builder in an executor
+        # materializes O(mn) index state.
+        callee = func.attr if isinstance(func, ast.Attribute) else (
+            func.id if isinstance(func, ast.Name) else ""
+        )
+        if self.in_executor_module and callee.endswith("_matrix"):
+            self._emit(
+                "eager-index-map", node,
+                f"{callee}() builds an O(mn) index map in an executor; "
+                "evaluate the chunk's index block from the equations",
             )
         if isinstance(func, ast.Attribute):
             # trace-granularity: recording from a doubly-nested loop means

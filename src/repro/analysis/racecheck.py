@@ -45,6 +45,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..core.engine import chunk_rect, schedule
 from ..core.indexing import Decomposition
 from ..core.transpose import choose_algorithm
 from ..parallel.partition import balanced_chunks
@@ -59,8 +60,6 @@ __all__ = [
     "schedule_footprints",
     "mp_schedule_footprints",
     "banded_footprints",
-    "pass_order",
-    "PASS_AXES",
     "check_partition",
     "check_schedule",
     "check_mp_schedule",
@@ -130,68 +129,26 @@ class PassFootprints:
     chunks: tuple[ChunkFootprint, ...]
 
 
-def _axis_rect(axis: str, m: int, n: int, total: int, lo: int, hi: int) -> Rect:
-    """The element rectangle touched by iterations ``[lo, hi)`` of a pass
-    parallelised over ``axis`` (the other axis is always full)."""
-    if axis == "rows":
-        return Rect(lo, hi, 0, n)
-    if axis == "cols":
-        return Rect(0, m, lo, hi)
-    if axis == "colgroups":
-        b = n // total
-        return Rect(0, m, lo * b, hi * b)
-    raise ValueError(f"unknown axis {axis!r}")
-
-
 def _chunk_rects(
-    name: str, m: int, n: int, total: int, parts: int, axis: str
+    dec: Decomposition, p, parts: int
 ) -> PassFootprints:
-    """Footprints for a pass chunked over ``axis`` (the other axis is full).
+    """Footprints for pass ``p`` chunked ``parts`` ways over its axis.
 
-    ``axis`` is ``"rows"`` (row shuffle), ``"cols"`` (column shuffles) or
-    ``"colgroups"`` (rotation passes: iteration g covers columns
-    ``[g*b, (g+1)*b)`` where ``b = n // total``).
+    The rectangles are the engine's own chunk geometry
+    (:func:`repro.core.engine.chunk_rect`): a row chunk covers whole rows,
+    a column chunk whole columns, a group chunk the ``b`` columns of each
+    of its column groups.
     """
     chunks = []
-    for ch in balanced_chunks(total, parts):
-        rect = _axis_rect(axis, m, n, total, ch.start, ch.stop)
+    for ch in balanced_chunks(p.extent, parts):
+        rect = Rect(*chunk_rect(dec, p, ch.start, ch.stop))
         # Every pass is a gather confined to its own rows/columns: reads and
         # writes share the rectangle.  (The per-element gather indices stay
         # in range by the bijectivity certificates of analysis.algebra.)
-        chunks.append(ChunkFootprint(f"{axis}[{ch.start}:{ch.stop}]", rect, rect))
-    return PassFootprints(name=name, total=total, chunks=tuple(chunks))
-
-
-#: pass name -> (iteration axis, extent attribute on the decomposition)
-_PASS_AXES: dict[str, tuple[str, str]] = {
-    "pre_rotate": ("colgroups", "c"),
-    "row_shuffle": ("rows", "m"),
-    "column_shuffle": ("cols", "n"),
-    "inverse_column_shuffle": ("cols", "n"),
-    "row_shuffle_r2c": ("rows", "m"),
-    "post_rotate": ("colgroups", "c"),
-}
-
-
-def _pass_order(algorithm: str, c: int) -> list[str]:
-    """The barrier-ordered pass names both parallel backends execute."""
-    if algorithm == "c2r":
-        return (["pre_rotate"] if c > 1 else []) + [
-            "row_shuffle",
-            "column_shuffle",
-        ]
-    if algorithm == "r2c":
-        return ["inverse_column_shuffle", "row_shuffle_r2c"] + (
-            ["post_rotate"] if c > 1 else []
+        chunks.append(
+            ChunkFootprint(f"{p.axis}[{ch.start}:{ch.stop}]", rect, rect)
         )
-    raise ValueError(f"unknown algorithm {algorithm!r}")
-
-
-#: public aliases — the banded out-of-core executor (`repro.stream`) iterates
-#: the *same* tables the proofs above are built from, so schedule and proof
-#: cannot drift apart.
-pass_order = _pass_order
-PASS_AXES = _PASS_AXES
+    return PassFootprints(name=p.name, total=p.extent, chunks=tuple(chunks))
 
 
 def schedule_footprints(
@@ -205,12 +162,7 @@ def schedule_footprints(
     if algorithm == "auto":
         algorithm = choose_algorithm(m, n)
     dec = Decomposition.of(m, n)
-    passes = []
-    for name in _pass_order(algorithm, dec.c):
-        axis, extent_attr = _PASS_AXES[name]
-        total = getattr(dec, extent_attr)
-        passes.append(_chunk_rects(name, m, n, total, n_threads, axis))
-    return passes
+    return [_chunk_rects(dec, p, n_threads) for p in schedule(dec, algorithm)]
 
 
 def check_partition(total: int, parts: int) -> tuple[bool, str]:
@@ -345,15 +297,12 @@ def mp_schedule_footprints(
         algorithm = choose_algorithm(m, n)
     dec = Decomposition.of(m, n)
     out = []
-    for name in _pass_order(algorithm, dec.c):
-        axis, extent_attr = _PASS_AXES[name]
-        total = getattr(dec, extent_attr)
+    for p in schedule(dec, algorithm):
         descriptors = tuple(
-            MpTaskDescriptor(segment, m, n, name, ch.start, ch.stop)
-            for ch in balanced_chunks(total, n_workers)
+            MpTaskDescriptor(segment, m, n, p.name, ch.start, ch.stop)
+            for ch in balanced_chunks(p.extent, n_workers)
         )
-        footprints = _chunk_rects(name, m, n, total, n_workers, axis)
-        out.append((footprints, descriptors))
+        out.append((_chunk_rects(dec, p, n_workers), descriptors))
     return out
 
 
@@ -374,7 +323,9 @@ def check_mp_schedule(
     if algorithm == "auto":
         algorithm = choose_algorithm(m, n)
     report = RaceReport(m=m, n=n, n_threads=n_workers, algorithm=algorithm)
-    expected_order = _pass_order(algorithm, Decomposition.of(m, n).c)
+    expected_order = [
+        p.name for p in schedule(Decomposition.of(m, n), algorithm)
+    ]
     seen_order = []
     for p, descriptors in mp_schedule_footprints(m, n, n_workers, algorithm):
         report.passes += 1
@@ -428,20 +379,20 @@ def banded_footprints(
         algorithm = choose_algorithm(m, n)
     dec = Decomposition.of(m, n)
     passes = []
-    for name in _pass_order(algorithm, dec.c):
-        axis, extent_attr = _PASS_AXES[name]
-        total = getattr(dec, extent_attr)
+    for p in schedule(dec, algorithm):
         chunks = []
-        for bi, band in enumerate(balanced_chunks(total, n_bands)):
+        for bi, band in enumerate(balanced_chunks(p.extent, n_bands)):
             extent = band.stop - band.start
             for ch in balanced_chunks(extent, n_threads):
                 lo = band.start + ch.start
                 hi = band.start + ch.stop
-                rect = _axis_rect(axis, m, n, total, lo, hi)
+                rect = Rect(*chunk_rect(dec, p, lo, hi))
                 chunks.append(
-                    ChunkFootprint(f"band{bi}/{axis}[{lo}:{hi}]", rect, rect)
+                    ChunkFootprint(f"band{bi}/{p.axis}[{lo}:{hi}]", rect, rect)
                 )
-        passes.append(PassFootprints(name=name, total=total, chunks=tuple(chunks)))
+        passes.append(
+            PassFootprints(name=p.name, total=p.extent, chunks=tuple(chunks))
+        )
     return passes
 
 

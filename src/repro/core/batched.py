@@ -2,10 +2,11 @@
 
 Data-layout pipelines rarely transpose one matrix: they transpose a batch
 of same-shaped matrices (attention heads, image tiles, per-timestep state).
-Because the decomposition's gather maps depend only on the shape, a batch
-shares one :class:`~repro.core.plan.TransposePlan`-style set of index maps,
-and the passes apply to all matrices at once as 3-D gathers — the batch
-dimension rides along for free.
+Because the decomposition depends only on the shape, a batch is just a
+leading extent of the one :class:`~repro.core.plan.TransposePlan`: every
+pass applies to all matrices at once (3-D gathers on numpy, the batched
+entry points natively), so the batch dimension rides along for free.
+:data:`BatchedTransposePlan` remains as the public name of that class.
 
 The buffer layout is the standard batched one: ``k`` matrices of ``m x n``
 stored consecutively (``buf[b * m * n : (b + 1) * m * n]`` is matrix ``b``).
@@ -13,71 +14,19 @@ stored consecutively (``buf[b * m * n : (b + 1) * m * n]`` is matrix ``b``).
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from time import perf_counter
 
 import numpy as np
 
-from . import equations as eq
-from .indexing import Decomposition
-from .transpose import choose_algorithm
+from ..runtime.metrics import registry
+from ..trace.spans import tracer
+from .engine import NULL_CM, TransposePlan
 
 __all__ = [
     "BatchedTransposePlan",
     "batched_transpose_inplace",
     "validate_batch_member",
 ]
-
-#: reusable stateless no-op context manager for untraced paths
-_NULL_CM = nullcontext()
-
-_metrics = None
-_trace = None
-_native_mod = None
-_racecheck = None
-
-
-def _runtime_metrics():
-    """Lazily bind repro.runtime.metrics (kept acyclic w.r.t. package init)."""
-    global _metrics
-    if _metrics is None:
-        from ..runtime import metrics
-
-        _metrics = metrics
-    return _metrics
-
-
-def _sanitizer():
-    """Lazily bind the shadow-memory sanitizer (repro.analysis.racecheck)."""
-    global _racecheck
-    if _racecheck is None:
-        from ..analysis import racecheck
-
-        _racecheck = racecheck
-    return _racecheck.sanitizer
-
-
-def _native():
-    """Lazily bind the compiled-kernel backend (repro.native)."""
-    global _native_mod
-    if _native_mod is None:
-        from .. import native
-
-        _native_mod = native
-    return _native_mod
-
-
-_BACKENDS = (None, "auto", "native", "numpy")
-
-
-def _tracer():
-    """Lazily bind the process-wide structured tracer (repro.trace.spans)."""
-    global _trace
-    if _trace is None:
-        from ..trace import spans
-
-        _trace = spans
-    return _trace.tracer
 
 
 def validate_batch_member(
@@ -133,267 +82,8 @@ def validate_batch_member(
         )
 
 
-class BatchedTransposePlan:
-    """Shape-specialized in-place transpose applied across a batch axis.
-
-    Parameters mirror :class:`~repro.core.plan.TransposePlan`; ``execute``
-    takes either a flat buffer of ``k * m * n`` elements or a ``(k, m*n)`` /
-    ``(k, m, n)`` array, and transposes every matrix in place.
-    """
-
-    def __init__(self, m: int, n: int, order: str = "C", algorithm: str = "auto"):
-        if order not in ("C", "F"):
-            raise ValueError(f"unknown order {order!r}")
-        if algorithm == "auto":
-            algorithm = choose_algorithm(m, n)
-        if algorithm not in ("c2r", "r2c"):
-            raise ValueError(f"unknown algorithm {algorithm!r}")
-        self.m, self.n, self.order, self.algorithm = m, n, order, algorithm
-
-        vm, vn = (m, n) if order == "C" else (n, m)
-        if algorithm == "c2r":
-            dec = Decomposition.of(vm, vn)
-            self._steps = self._build_c2r(dec)
-        else:
-            dec = Decomposition.of(vn, vm)
-            self._steps = self._build_r2c(dec)
-        self.dec = dec
-
-    def _build_c2r(self, dec: Decomposition):
-        plan = []
-        if dec.c > 1:
-            plan.append(("rows3", eq.rotate_r_matrix(dec)[None, :, :]))
-        plan.append(("cols3", eq.dprime_inverse_matrix(dec)[None, :, :]))
-        plan.append(("rows3", eq.sprime_matrix(dec)[None, :, :]))
-        return plan
-
-    def _build_r2c(self, dec: Decomposition):
-        plan = [
-            ("rows3", eq.sprime_inverse_matrix(dec)[None, :, :]),
-            ("cols3", eq.dprime_matrix(dec)[None, :, :]),
-        ]
-        if dec.c > 1:
-            plan.append(("rows3", eq.rotate_r_inverse_matrix(dec)[None, :, :]))
-        return plan
-
-    @property
-    def scratch_bytes(self) -> int:
-        """Bytes held by the precomputed gather maps."""
-        return sum(idx.nbytes for _, idx in self._steps)
-
-    def __reduce__(self):
-        # Ship the identity, not the O(mn) gather maps: a plan crossing a
-        # process boundary rebuilds from its plan-cache key on the other
-        # side (each worker process owns its own cache).
-        return (self.__class__, (self.m, self.n, self.order, self.algorithm))
-
-    @staticmethod
-    def _apply_np(V: np.ndarray, kind: str, idx: np.ndarray) -> None:
-        axis = 1 if kind == "rows3" else 2
-        V[:] = np.take_along_axis(V, np.broadcast_to(idx, V.shape), axis=axis)
-
-    def _execute_sanitized(self, V: np.ndarray, san) -> None:
-        """Run the 3-D gathers under the shadow-memory sanitizer.
-
-        Every batched pass is a full-coverage gather, so each tile's flat
-        reads (resolved through the pass's index map) and writes are
-        recorded before mutating; tiles are disjoint slices of the shadow,
-        so per-tile records carry tile provenance without false clobbers.
-        """
-        k, m, n = V.shape
-        mn = m * n
-        rows = np.arange(m, dtype=np.int64)[:, None]
-        cols = np.arange(n, dtype=np.int64)[None, :]
-        tile_writes = (rows * n + cols).ravel()  # repro-lint: allow(implicit-copy) flat index array, not a matrix view
-        for kind, idx in self._steps:
-            if kind == "rows3":
-                tile_reads = idx[0].astype(np.int64) * n + cols
-            else:  # cols3
-                tile_reads = rows * n + idx[0].astype(np.int64)
-            tile_reads = tile_reads.ravel()  # repro-lint: allow(implicit-copy) flat index array, not a matrix view
-            with san.pass_scope(f"batched.{kind}", k * mn):
-                for t in range(k):
-                    base = t * mn
-                    san.record(
-                        reads=base + tile_reads,
-                        writes=base + tile_writes,
-                        where=f"tile {t}",
-                    )
-                self._apply_np(V, kind, idx)
-
-    def _resolve_native(self, buf: np.ndarray, backend: str | None):
-        """The compiled kernel to batch over, or ``None`` for numpy.
-
-        Batched and single plans for one ``(algorithm, shape, itemsize)``
-        generate identical C source, so the on-disk artifact is shared; only
-        the per-plan memoization slot is separate.
-        """
-        if backend == "numpy":
-            return None
-        native = _native()
-        if not native.enabled():
-            if backend == "native":
-                native.record_fallback("disabled by REPRO_NATIVE=0")
-            return None
-        if backend != "native" and buf.size < native.min_elems():
-            return None
-        return native.kernel_for_plan(self, buf.dtype.itemsize)
-
-    def _execute_native(self, buf: np.ndarray, V: np.ndarray, kernel) -> None:
-        """Run the compiled kernel across the batch.
-
-        Scratch failures are positional (see the kernel's return-code
-        contract): the numpy gathers finish exactly the tiles and passes the
-        kernel did not reach.
-        """
-        rt = _runtime_metrics()
-        tr = _tracer()
-        reg = rt.registry
-        addr = buf.ctypes.data
-        k = V.shape[0]
-        steps = self._steps
-        dec = self.dec
-        if tr.enabled or reg.enabled:
-            pass_bytes = 2 * buf.nbytes
-            for i, (kind, idx) in enumerate(steps):
-                try:
-                    if tr.enabled:
-                        with tr.span(
-                            f"pass.{kind}", m=dec.m, n=dec.n, batch=k,
-                            algorithm=self.algorithm, bytes=pass_bytes,
-                            backend="native",
-                        ) as sp:
-                            kernel.run_pass_batch(i, addr, k)
-                        if reg.enabled:
-                            reg.observe(f"batched.pass.{kind}", sp.duration_s)
-                    else:
-                        t0 = perf_counter()
-                        kernel.run_pass_batch(i, addr, k)
-                        reg.observe(f"batched.pass.{kind}", perf_counter() - t0)
-                except MemoryError as exc:
-                    # Pass ``i`` reached tiles < tile; finish it, then run
-                    # the remaining passes entirely on numpy.
-                    tile = getattr(exc, "tile", 0)
-                    _native().record_fallback(
-                        f"scratch allocation failed at batched pass {i}"
-                    )
-                    self._apply_np(V[tile:], kind, idx)
-                    for rest_kind, rest_idx in steps[i + 1:]:
-                        self._apply_np(V, rest_kind, rest_idx)
-                    break
-            if reg.enabled:
-                reg.inc("native.calls")
-                reg.inc("bytes_moved", len(steps) * 2 * buf.nbytes)
-                reg.inc("elements_touched", len(steps) * buf.size)
-        else:
-            try:
-                kernel.run_batch(addr, k)
-            except MemoryError as exc:
-                pi = getattr(exc, "pass_index", 0)
-                tile = getattr(exc, "tile", 0)
-                _native().record_fallback(
-                    f"scratch allocation failed at tile {tile}, pass {pi}"
-                )
-                sub = V[tile:tile + 1]
-                for kind, idx in steps[pi:]:
-                    self._apply_np(sub, kind, idx)
-                if tile + 1 < k:
-                    rest = V[tile + 1:]
-                    for kind, idx in steps:
-                        self._apply_np(rest, kind, idx)
-
-    def on_cache_evict(self) -> None:
-        """Plan-cache eviction hook: unlink any compiled kernel artifacts."""
-        _native().release_plan_kernels(self)
-
-    def execute(self, buf: np.ndarray, *, backend: str | None = None) -> np.ndarray:
-        """Transpose every matrix of the batch in place; returns ``buf``.
-
-        ``backend`` follows :meth:`TransposePlan.execute`: ``None``/
-        ``"auto"`` use a compiled kernel opportunistically, ``"native"``
-        insists (warns and falls back when impossible), ``"numpy"`` forces
-        the 3-D gathers.
-        """
-        if backend not in _BACKENDS:
-            raise ValueError(f"unknown backend {backend!r}")
-        dec = self.dec
-        mn = self.m * self.n
-        if not buf.flags["C_CONTIGUOUS"]:
-            raise ValueError(
-                "batched buffers must be C-contiguous "
-                "(a strided view would be silently copied, not permuted)"
-            )
-        if not buf.flags.writeable:
-            raise ValueError(
-                "batched buffers must be writeable "
-                "(in-place transposition writes the result back)"
-            )
-        if buf.ndim == 1:
-            if buf.shape[0] % mn:
-                raise ValueError("flat batch length must be a multiple of m*n")
-            V = buf.reshape(-1, dec.m, dec.n)
-        elif buf.ndim == 2 and buf.shape[1] == mn:
-            V = buf.reshape(buf.shape[0], dec.m, dec.n)
-        elif buf.ndim == 3 and buf.shape[1] * buf.shape[2] == mn:
-            V = buf.reshape(buf.shape[0], dec.m, dec.n)
-        else:
-            raise ValueError(
-                f"cannot interpret shape {buf.shape} as a batch of "
-                f"{self.m}x{self.n} matrices"
-            )
-        san = _sanitizer()
-        if san.enabled:
-            # Native kernels bypass the shadow hooks: a sanitized run must
-            # see every index, so force the numpy gathers (and make the
-            # refusal observable when the caller insisted on native).
-            if backend == "native":
-                _native().record_fallback("sanitizer active")
-            self._execute_sanitized(V, san)
-            return buf
-        kernel = self._resolve_native(buf, backend)
-        if kernel is not None:
-            self._execute_native(buf, V, kernel)
-            return buf
-        rt = _runtime_metrics()
-        tr = _tracer()
-        if tr.enabled:
-            # One span per batched pass; the batch dimension rides along, so
-            # the byte volume scales with the whole batch buffer.
-            pass_bytes = 2 * buf.nbytes
-            reg = rt.registry
-            for kind, idx in self._steps:
-                axis = 1 if kind == "rows3" else 2
-                with tr.span(
-                    f"pass.{kind}", m=dec.m, n=dec.n, batch=V.shape[0],
-                    algorithm=self.algorithm, bytes=pass_bytes,
-                ) as sp:
-                    V[:] = np.take_along_axis(
-                        V, np.broadcast_to(idx, V.shape), axis=axis
-                    )
-                if reg.enabled:
-                    reg.observe(f"batched.pass.{kind}", sp.duration_s)
-            if reg.enabled:
-                reg.inc("bytes_moved", len(self._steps) * pass_bytes)
-                reg.inc("elements_touched", len(self._steps) * buf.size)
-        elif rt.registry.enabled:
-            for kind, idx in self._steps:
-                axis = 1 if kind == "rows3" else 2
-                t0 = perf_counter()
-                V[:] = np.take_along_axis(V, np.broadcast_to(idx, V.shape), axis=axis)
-                rt.registry.observe(f"batched.pass.{kind}", perf_counter() - t0)
-            rt.registry.inc("bytes_moved", 2 * len(self._steps) * buf.nbytes)
-            rt.registry.inc("elements_touched", len(self._steps) * buf.size)
-        else:
-            for kind, idx in self._steps:
-                axis = 1 if kind == "rows3" else 2
-                V[:] = np.take_along_axis(V, np.broadcast_to(idx, V.shape), axis=axis)
-        return buf
-
-    def __repr__(self) -> str:
-        return (
-            f"BatchedTransposePlan(m={self.m}, n={self.n}, "
-            f"order={self.order!r}, algorithm={self.algorithm!r})"
-        )
+#: The batched plan is the same engine: a batch is a leading extent.
+BatchedTransposePlan = TransposePlan
 
 
 def batched_transpose_inplace(
@@ -410,13 +100,12 @@ def batched_transpose_inplace(
 
     After the call, every ``m x n`` matrix in the batch holds its ``n x m``
     transpose in the same storage order.  Repeated calls on the same
-    ``(k, m, n, order, dtype)`` reuse the gather maps through the process-wide
+    ``(m, n, order, dtype)`` — any batch size — reuse one plan through the process-wide
     :mod:`repro.runtime.plan_cache` (disable per call with
     ``use_plan_cache=False``, or globally via the cache's own opt-out); each
     call is timed into :mod:`repro.runtime.metrics`.  ``backend`` follows
     :meth:`BatchedTransposePlan.execute`.
     """
-    rt = _runtime_metrics()
     mn = m * n
     if use_plan_cache and mn and buf.size % mn == 0:
         from ..runtime import plan_cache
@@ -425,19 +114,14 @@ def batched_transpose_inplace(
             m, n, buf.size // mn, order, algorithm, buf.dtype
         )
     else:
-        plan = BatchedTransposePlan(m, n, order, algorithm)
-    tr = _tracer()
-    with tr.span(
+        plan = TransposePlan(m, n, order, algorithm)
+    t0 = perf_counter() if registry.enabled else 0.0
+    with tracer.span(
         "op.batched_transpose_inplace", m=m, n=n,
         batch=buf.size // mn if mn else 0, order=order,
         algorithm=plan.algorithm, dtype=str(buf.dtype),
-    ) if tr.enabled else _NULL_CM:
-        if rt.registry.enabled:
-            t0 = perf_counter()
-            plan.execute(buf, backend=backend)
-            rt.registry.record_call(
-                "batched_transpose_inplace", perf_counter() - t0
-            )
-        else:
-            plan.execute(buf, backend=backend)
+    ) if tracer.enabled else NULL_CM:
+        plan.execute(buf, backend=backend)
+    if registry.enabled:
+        registry.record_call("batched_transpose_inplace", perf_counter() - t0)
     return buf

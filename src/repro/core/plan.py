@@ -1,358 +1,15 @@
-"""Precomputed transpose plans.
+"""Reusable transpose plans.
 
-Index-matrix construction (the ``d'^{-1}``/``s'`` gather maps) costs as much
-as a pass over the data; applications that repeatedly transpose same-shaped
-buffers (e.g. the AoS/SoA conversions of Section 6.1, or batched FFT-style
-pipelines) amortize it by building a :class:`TransposePlan` once and calling
-:meth:`TransposePlan.execute` per buffer.
-
-The plan captures the direction decision (C2R vs R2C, honoring the paper's
-``m > n`` heuristic), the dimension/order folding of Theorems 1-2-7, and the
-fully materialized gather maps of the blocked fast path.
+Applications that repeatedly transpose same-shaped buffers (the AoS/SoA
+conversions of Section 6.1, batched FFT-style pipelines) build a
+:class:`TransposePlan` once — usually through the process-wide
+:mod:`repro.runtime.plan_cache` — and call :meth:`TransposePlan.execute`
+per buffer.  The plan is the pass engine (:mod:`repro.core.engine`) bound
+to one decomposition; it lives there and is re-exported here.
 """
 
 from __future__ import annotations
 
-from time import perf_counter
-
-import numpy as np
-
-from . import equations as eq
-from .indexing import Decomposition
-from .transpose import choose_algorithm
+from .engine import TransposePlan
 
 __all__ = ["TransposePlan"]
-
-_metrics = None
-_racecheck = None
-_trace = None
-_native_mod = None
-
-
-def _runtime_metrics():
-    """Lazily bind repro.runtime.metrics (kept acyclic w.r.t. package init)."""
-    global _metrics
-    if _metrics is None:
-        from ..runtime import metrics
-
-        _metrics = metrics
-    return _metrics
-
-
-def _tracer():
-    """Lazily bind the process-wide structured tracer (repro.trace.spans)."""
-    global _trace
-    if _trace is None:
-        from ..trace import spans
-
-        _trace = spans
-    return _trace.tracer
-
-
-def _sanitizer():
-    """Lazily bind the shadow-memory sanitizer (repro.analysis.racecheck)."""
-    global _racecheck
-    if _racecheck is None:
-        from ..analysis import racecheck
-
-        _racecheck = racecheck
-    return _racecheck.sanitizer
-
-
-def _native():
-    """Lazily bind the compiled-kernel backend (repro.native)."""
-    global _native_mod
-    if _native_mod is None:
-        from .. import native
-
-        _native_mod = native
-    return _native_mod
-
-
-_BACKENDS = (None, "auto", "native", "numpy")
-
-
-class TransposePlan:
-    """A reusable, shape-specialized in-place transpose.
-
-    Parameters
-    ----------
-    m, n:
-        Logical matrix dimensions before the transpose.
-    order:
-        ``"C"`` or ``"F"`` storage order of the buffers this plan will see.
-    algorithm:
-        ``"auto"``, ``"c2r"`` or ``"r2c"``.
-
-    Notes
-    -----
-    The plan stores ``O(mn)`` int32 gather maps — a deliberate space/time
-    trade (the strict kernels exist for the ``O(max(m, n))`` regime).
-    ``plan.scratch_bytes`` reports the footprint.
-    """
-
-    def __init__(self, m: int, n: int, order: str = "C", algorithm: str = "auto"):
-        if order not in ("C", "F"):
-            raise ValueError(f"unknown order {order!r}")
-        if algorithm == "auto":
-            algorithm = choose_algorithm(m, n)
-        if algorithm not in ("c2r", "r2c"):
-            raise ValueError(f"unknown algorithm {algorithm!r}")
-        self.m, self.n, self.order, self.algorithm = m, n, order, algorithm
-
-        vm, vn = (m, n) if order == "C" else (n, m)
-        if algorithm == "c2r":
-            dec = Decomposition.of(vm, vn)
-            self._steps = self._build_c2r(dec)
-        else:
-            dec = Decomposition.of(vn, vm)
-            self._steps = self._build_r2c(dec)
-        self.dec = dec
-
-    # -- plan construction ---------------------------------------------------
-
-    @staticmethod
-    def _shrink(idx: np.ndarray) -> np.ndarray:
-        """Gather indices are bounded by max(m, n) < 2**31: int32 halves the
-        plan's memory footprint (and cache traffic) at no loss."""
-        return idx.astype(np.int32, copy=False)
-
-    def _build_c2r(self, dec: Decomposition):
-        plan = []
-        if dec.c > 1:
-            plan.append(("rotate_groups", self._rotation_shifts(dec, inverse=False)))
-        plan.append(("gather_cols", self._shrink(eq.dprime_inverse_matrix(dec))))
-        plan.append(("gather_rows", self._shrink(eq.sprime_matrix(dec))))
-        return plan
-
-    def _build_r2c(self, dec: Decomposition):
-        plan = [
-            ("gather_rows", self._shrink(eq.sprime_inverse_matrix(dec))),
-            ("gather_cols", self._shrink(eq.dprime_matrix(dec))),
-        ]
-        if dec.c > 1:
-            plan.append(("rotate_groups", self._rotation_shifts(dec, inverse=True)))
-        return plan
-
-    @staticmethod
-    def _rotation_shifts(dec: Decomposition, *, inverse: bool) -> list[tuple[slice, int]]:
-        """Per-group ``np.roll`` shifts for the (inverse) pre-rotation."""
-        out = []
-        for g in range(dec.c):
-            k = g % dec.m  # repro-lint: allow(raw-divmod) O(c) plan construction, not per-element
-            if k == 0:
-                continue
-            shift = k if inverse else -k
-            out.append((slice(g * dec.b, (g + 1) * dec.b), shift))
-        return out
-
-    # -- execution -------------------------------------------------------------
-
-    @property
-    def scratch_bytes(self) -> int:
-        """Bytes held by the precomputed gather maps."""
-        total = 0
-        for kind, payload in self._steps:
-            if kind == "rotate_groups":
-                continue
-            total += payload.nbytes
-        return total
-
-    def __reduce__(self):
-        # Ship the identity, not the O(mn) gather maps: a plan crossing a
-        # process boundary rebuilds from its plan-cache key on the other
-        # side (each worker process owns its own cache).
-        return (self.__class__, (self.m, self.n, self.order, self.algorithm))
-
-    @staticmethod
-    def _apply_step(V: np.ndarray, kind: str, payload) -> None:
-        if kind == "rotate_groups":
-            for cols, shift in payload:
-                V[:, cols] = np.roll(V[:, cols], shift, axis=0)
-        elif kind == "gather_cols":
-            V[:] = np.take_along_axis(V, payload, axis=1)
-        elif kind == "gather_rows":
-            V[:] = np.take_along_axis(V, payload, axis=0)
-        elif kind == "permute_rows":
-            V[:] = V[payload, :]
-
-    @staticmethod
-    def _apply_step_sanitized(V: np.ndarray, kind: str, payload, san) -> None:
-        """One step under the shadow-memory sanitizer: report the flat read
-        and write footprints (reads logically precede writes in a gather)
-        before mutating, so clobbers/double-writes carry pass provenance."""
-        m, n = V.shape
-        rows = np.arange(m, dtype=np.int64)[:, None]
-        cols = np.arange(n, dtype=np.int64)[None, :]
-        if kind == "rotate_groups":
-            # Zero-shift groups are skipped by construction, so the pass
-            # covers at most (not exactly) the whole matrix.
-            with san.pass_scope(f"plan.{kind}", m * n, full_coverage=False):
-                for csl, shift in payload:
-                    flat = (rows * n + np.arange(csl.start, csl.stop)).ravel()  # repro-lint: allow(implicit-copy) flat index array, not a matrix view
-                    san.record(
-                        reads=flat, writes=flat,
-                        where=f"cols[{csl.start}:{csl.stop}]",
-                    )
-                    V[:, csl] = np.roll(V[:, csl], shift, axis=0)
-            return
-        if kind == "gather_cols":
-            reads = rows * n + payload.astype(np.int64)
-        elif kind == "gather_rows":
-            reads = payload.astype(np.int64) * n + cols
-        else:  # permute_rows
-            reads = payload.astype(np.int64)[:, None] * n + cols
-        with san.pass_scope(f"plan.{kind}", m * n):
-            san.record(reads=reads, writes=rows * n + cols, where="full matrix")
-            TransposePlan._apply_step(V, kind, payload)
-
-    def _resolve_native(self, buf: np.ndarray, backend: str | None):
-        """The compiled kernel this execute should use, or ``None`` for numpy.
-
-        ``None``/``"auto"`` engage the native backend opportunistically
-        (toolchain present, buffer large enough, shape eligible);
-        ``"native"`` asks for it unconditionally and reports every reason it
-        could not be honored (fallback metric + one-time warning) — it still
-        returns ``None`` rather than raising, per the backend's
-        never-an-error contract.
-        """
-        if backend == "numpy":
-            return None
-        native = _native()
-        if not native.enabled():
-            if backend == "native":
-                native.record_fallback("disabled by REPRO_NATIVE=0")
-            return None
-        if not buf.flags.writeable:
-            # The numpy path surfaces its own clean error; never hand a
-            # read-only buffer to C code.
-            if backend == "native":
-                native.record_fallback("read-only buffer")
-            return None
-        if backend != "native" and buf.shape[0] < native.min_elems():
-            return None
-        return native.kernel_for_plan(self, buf.dtype.itemsize)
-
-    def _execute_native(self, buf: np.ndarray, V: np.ndarray, kernel) -> None:
-        """Run the compiled kernel with span/metric parity to the numpy path.
-
-        A scratch allocation failure inside a pass is positional (nothing at
-        or after the failing pass moved), so the numpy gathers finish the
-        plan from exactly that step.
-        """
-        rt = _runtime_metrics()
-        tr = _tracer()
-        reg = rt.registry
-        addr = buf.ctypes.data
-        passes = kernel.passes
-        dec = self.dec
-        try:
-            if tr.enabled:
-                pass_bytes = 2 * buf.nbytes
-                for idx, p in enumerate(passes):
-                    with tr.span(
-                        f"pass.{p.kind}", m=dec.m, n=dec.n,
-                        algorithm=self.algorithm, bytes=pass_bytes,
-                        backend="native",
-                    ) as sp:
-                        kernel.run_pass(idx, addr, 0, p.extent)
-                    if reg.enabled:
-                        reg.observe(f"plan.pass.{p.kind}", sp.duration_s)
-                if reg.enabled:
-                    reg.inc("native.calls")
-                    reg.inc("bytes_moved", len(passes) * pass_bytes)
-                    reg.inc("elements_touched", len(passes) * buf.shape[0])
-            elif reg.enabled:
-                for idx, p in enumerate(passes):
-                    t0 = perf_counter()
-                    kernel.run_pass(idx, addr, 0, p.extent)
-                    reg.observe(f"plan.pass.{p.kind}", perf_counter() - t0)
-                reg.inc("native.calls")
-                reg.inc("bytes_moved", 2 * len(passes) * buf.nbytes)
-                reg.inc("elements_touched", len(passes) * buf.shape[0])
-            else:
-                kernel.run(addr)
-        except MemoryError as exc:
-            pass_index = getattr(exc, "pass_index", 0)
-            _native().record_fallback(
-                f"scratch allocation failed at pass {pass_index}"
-            )
-            for kind, payload in self._steps[pass_index:]:
-                self._apply_step(V, kind, payload)
-
-    def on_cache_evict(self) -> None:
-        """Plan-cache eviction hook: unlink any compiled kernel artifacts."""
-        _native().release_plan_kernels(self)
-
-    def execute(self, buf: np.ndarray, *, backend: str | None = None) -> np.ndarray:
-        """Transpose ``buf`` in place using the precomputed maps.
-
-        ``buf`` must be flat and contiguous with ``m * n`` elements; after the
-        call it holds the ``n x m`` transpose in the plan's storage order.
-        Per-pass timings land in :mod:`repro.runtime.metrics` when enabled,
-        and one ``pass.*`` span per step in :mod:`repro.trace` when tracing.
-
-        ``backend`` selects the execution engine: ``None``/``"auto"`` use a
-        compiled native kernel when one is (or can be made) available and
-        the buffer is large enough, ``"native"`` insists on it (falling back
-        to numpy with a warning when impossible), ``"numpy"`` forces the
-        numpy gathers.  The sanitizer always runs on numpy — shadow-memory
-        checking needs to see every index.
-        """
-        if backend not in _BACKENDS:
-            raise ValueError(f"unknown backend {backend!r}")
-        if buf.ndim != 1 or buf.shape[0] != self.m * self.n:
-            raise ValueError(f"buffer must be flat with {self.m * self.n} elements")
-        if not buf.flags["C_CONTIGUOUS"]:
-            raise ValueError(
-                "in-place transposition requires a contiguous buffer "
-                "(a non-contiguous view would be silently copied, not permuted)"
-            )
-        dec = self.dec
-        V = buf.reshape(dec.m, dec.n)
-        rt = _runtime_metrics()
-        san = _sanitizer()
-        tr = _tracer()
-        if san.enabled:
-            if backend == "native":
-                _native().record_fallback("sanitizer active")
-            for kind, payload in self._steps:
-                self._apply_step_sanitized(V, kind, payload, san)
-            return buf
-        kernel = self._resolve_native(buf, backend)
-        if kernel is not None:
-            self._execute_native(buf, V, kernel)
-            return buf
-        if tr.enabled:
-            # One span per decomposition pass, carrying the 2x read+write
-            # byte volume so the profiler can join duration with traffic.
-            pass_bytes = 2 * buf.nbytes
-            reg = rt.registry
-            for kind, payload in self._steps:
-                with tr.span(
-                    f"pass.{kind}", m=dec.m, n=dec.n,
-                    algorithm=self.algorithm, bytes=pass_bytes,
-                ) as sp:
-                    self._apply_step(V, kind, payload)
-                if reg.enabled:
-                    reg.observe(f"plan.pass.{kind}", sp.duration_s)
-            if reg.enabled:
-                reg.inc("bytes_moved", len(self._steps) * pass_bytes)
-                reg.inc("elements_touched", len(self._steps) * buf.shape[0])
-        elif rt.registry.enabled:
-            for kind, payload in self._steps:
-                t0 = perf_counter()
-                self._apply_step(V, kind, payload)
-                rt.registry.observe(f"plan.pass.{kind}", perf_counter() - t0)
-            rt.registry.inc("bytes_moved", 2 * len(self._steps) * buf.nbytes)
-            rt.registry.inc("elements_touched", len(self._steps) * buf.shape[0])
-        else:
-            for kind, payload in self._steps:
-                self._apply_step(V, kind, payload)
-        return buf
-
-    def __repr__(self) -> str:
-        return (
-            f"TransposePlan(m={self.m}, n={self.n}, order={self.order!r}, "
-            f"algorithm={self.algorithm!r})"
-        )

@@ -27,6 +27,8 @@ from time import perf_counter
 
 import numpy as np
 
+from ..runtime.metrics import registry
+from ..trace.spans import tracer
 from .c2r import c2r_transpose
 from .r2c import r2c_transpose
 from .steps import WorkCounter
@@ -38,29 +40,6 @@ _ORDERS = ("C", "F")
 
 #: reusable stateless no-op context manager for untraced paths
 _NULL_CM = nullcontext()
-
-_metrics = None
-_trace = None
-
-
-def _runtime_metrics():
-    """Lazily bind repro.runtime.metrics (kept acyclic w.r.t. package init)."""
-    global _metrics
-    if _metrics is None:
-        from ..runtime import metrics
-
-        _metrics = metrics
-    return _metrics
-
-
-def _tracer():
-    """Lazily bind the process-wide structured tracer (repro.trace.spans)."""
-    global _trace
-    if _trace is None:
-        from ..trace import spans
-
-        _trace = spans
-    return _trace.tracer
 
 
 def choose_algorithm(m: int, n: int) -> str:
@@ -152,33 +131,32 @@ def transpose_inplace(
             "the strict/scatter kernels have no compiled equivalent"
         )
 
-    rt = _runtime_metrics()
-    t0 = perf_counter() if rt.registry.enabled else 0.0
+    t0 = perf_counter() if registry.enabled else 0.0
 
     if use_plan_cache:
         from ..runtime import plan_cache
 
         # TransposePlan folds order/algorithm exactly like the kernel path
-        # below and runs the identical blocked gather passes off precomputed
-        # int32 maps.  Guard contiguity here as the kernels do: reshape of a
-        # strided view would silently copy instead of permuting.
+        # below and runs the identical blocked gather passes (off int32
+        # maps it builds on its first numpy execute).  Guard contiguity
+        # here as the kernels do: reshape of a strided view would silently
+        # copy instead of permuting.
         if not buf.flags["C_CONTIGUOUS"]:
             raise ValueError(
                 "in-place transposition requires a contiguous buffer "
                 "(a non-contiguous view would be silently copied, not permuted)"
             )
         plan = plan_cache.get_single_plan(m, n, order, algorithm, buf.dtype)
-        tr = _tracer()
-        if tr.enabled:
-            with tr.span(
+        if tracer.enabled:
+            with tracer.span(
                 "op.transpose_inplace", m=m, n=n, order=order,
                 algorithm=algorithm, cached=True, dtype=str(buf.dtype),
             ):
                 plan.execute(buf, backend=backend)
         else:
             plan.execute(buf, backend=backend)
-        if rt.registry.enabled:
-            rt.registry.record_call("transpose_inplace", perf_counter() - t0)
+        if registry.enabled:
+            registry.record_call("transpose_inplace", perf_counter() - t0)
         return buf
 
     # A column-major m x n buffer is byte-identical to a row-major n x m
@@ -186,11 +164,10 @@ def transpose_inplace(
     # swap and treat everything as row-major below.
     vm, vn = (m, n) if order == "C" else (n, m)
 
-    tr = _tracer()
-    with tr.span(
+    with tracer.span(
         "op.transpose_inplace", m=m, n=n, order=order, algorithm=algorithm,
         cached=False, variant=variant, aux=aux,
-    ) if tr.enabled else _NULL_CM:
+    ) if tracer.enabled else _NULL_CM:
         if algorithm == "c2r":
             # Theorem 1: C2R on the row-major (vm, vn) view transposes it.
             c2r_transpose(buf, vm, vn, variant=variant, aux=aux, counter=counter)
@@ -199,8 +176,8 @@ def transpose_inplace(
             # dimensions, i.e. running the passes on the (vn, vm) view of the
             # same buffer.
             r2c_transpose(buf, vn, vm, variant=variant, aux=aux, counter=counter)
-    if rt.registry.enabled:
-        rt.registry.record_call("transpose_inplace", perf_counter() - t0)
+    if registry.enabled:
+        registry.record_call("transpose_inplace", perf_counter() - t0)
     return buf
 
 

@@ -41,11 +41,14 @@ import os
 import threading
 import warnings
 
+from ..runtime import plan_cache
+from ..runtime.metrics import registry
+from ..trace.events import event_log
+from ..trace.spans import tracer
 from .codegen import (
     MAX_AB,
     SUPPORTED_ITEMSIZES,
     KernelSpec,
-    PassInfo,
     generate_source,
     ineligible_reason,
     pass_symbol,
@@ -64,7 +67,6 @@ __all__ = [
     "MAX_AB",
     "SUPPORTED_ITEMSIZES",
     "KernelSpec",
-    "PassInfo",
     "generate_source",
     "ineligible_reason",
     "pass_symbol",
@@ -80,7 +82,6 @@ __all__ = [
     "available",
     "unavailable_reason",
     "kernel_for_plan",
-    "kernel_for_shape",
     "release_plan_kernels",
     "record_fallback",
 ]
@@ -90,12 +91,6 @@ DEFAULT_MIN_ELEMS = 16_384
 
 _warned_once = False
 _warn_lock = threading.Lock()
-
-
-def _metrics_registry():
-    from ..runtime import metrics
-
-    return metrics.registry
 
 
 def enabled() -> bool:
@@ -134,12 +129,8 @@ def record_fallback(reason: str) -> None:
     CI can assert the fallback path actually ran.
     """
     global _warned_once
-    _metrics_registry().inc("native.fallback")
-    from ..trace.events import event_log
-
+    registry.inc("native.fallback")
     if event_log.enabled:
-        from ..trace.spans import tracer
-
         event_log.emit(
             "fallback", trace_id=tracer.current_trace_id(), reason=reason
         )
@@ -169,7 +160,7 @@ def kernel_for_plan(plan, itemsize: int) -> NativeKernel | None:
         hit = cache.get(itemsize, _MISS)
         if hit is not _MISS:
             if hit is None and cache.get(("why", itemsize)) == "fallback":
-                _metrics_registry().inc("native.fallback")
+                registry.inc("native.fallback")
             return hit
     lock = plan.__dict__.setdefault("_native_lock", threading.Lock())
     with lock:
@@ -182,49 +173,20 @@ def kernel_for_plan(plan, itemsize: int) -> NativeKernel | None:
         if kernel is None:
             cache[("why", itemsize)] = why
     if kernel is not None:
-        _charge_artifact(plan, kernel)
+        # Outside the plan's native lock: the charge can evict plans —
+        # possibly this one — and eviction hooks re-enter this module.
+        plan_cache.charge(plan, kernel.artifact_bytes)
     return kernel
 
 
 _MISS = object()
 
-#: (m, n, algorithm, itemsize) -> NativeKernel | None, for plan-free callers
-_shape_kernels: dict[tuple, "NativeKernel | None"] = {}
-_shape_lock = threading.Lock()
-
-
-def kernel_for_shape(dec, algorithm: str, itemsize: int) -> NativeKernel | None:
-    """The compiled kernel for a decomposition, without a TransposePlan.
-
-    The streaming executor must not build a full plan just to reach the
-    compiler: a plan materialises ``O(m * n)`` index-map bytes, which for
-    an out-of-core matrix is exactly the unbounded allocation the resident
-    window exists to prevent.  Codegen needs only the decomposition
-    constants, so this memoises directly on
-    ``(m, n, algorithm, itemsize)``.  Failed/ineligible compiles memoise
-    as ``None``; artifacts are process-lifetime (no plan-cache slot to
-    charge or evict — file-shape cardinality is low).
-    """
-    key = (dec.m, dec.n, algorithm, itemsize)
-    with _shape_lock:
-        hit = _shape_kernels.get(key, _MISS)
-        if hit is not _MISS:
-            return hit
-        from types import SimpleNamespace
-
-        kernel, _why = _build_kernel(
-            SimpleNamespace(dec=dec, algorithm=algorithm), itemsize
-        )
-        _shape_kernels[key] = kernel
-        return kernel
-
 
 def _build_kernel(plan, itemsize: int):
     """Compile the kernel for ``plan``; returns ``(kernel, why_none)``."""
-    reg = _metrics_registry()
     reason = ineligible_reason(plan.dec, itemsize)
     if reason is not None:
-        reg.inc("native.unsupported")
+        registry.inc("native.unsupported")
         return None, "unsupported"
     try:
         spec = generate_source(plan.dec, plan.algorithm, itemsize)
@@ -232,23 +194,8 @@ def _build_kernel(plan, itemsize: int):
     except CompileError as exc:
         record_fallback(str(exc))
         return None, "fallback"
-    reg.inc("native.compile")
+    registry.inc("native.compile")
     return kernel, None
-
-
-def _charge_artifact(plan, kernel: NativeKernel) -> None:
-    """Charge the ``.so`` size to the plan's slot in the plan cache.
-
-    A plan not held by a cache (direct construction, oversize reject) has
-    no binding and nothing to charge.  Called outside the plan's native
-    lock: the byte adjustment can evict plans — possibly this one — and
-    eviction hooks re-enter the native layer to release kernels.
-    """
-    binding = plan.__dict__.get("_plan_cache_binding")
-    if binding is None:
-        return
-    cache, key = binding
-    cache.adjust_bytes(key, kernel.artifact_bytes)
 
 
 def release_plan_kernels(plan) -> None:

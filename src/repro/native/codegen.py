@@ -1,25 +1,26 @@
 """C source generation for compiled per-plan transpose kernels.
 
-A cached :class:`~repro.core.plan.TransposePlan` executes three (or two)
-decomposition passes as numpy gathers off precomputed ``O(mn)`` index maps.
-That path is interpreter-bound: BENCH_ci.json puts it at ~20-36 ns/elem
-against a ~0.2-0.6 ns/elem memcpy ceiling.  This module closes the gap the
-way Section 4.4 of the paper does on the GPU — by *specializing the index
-arithmetic at compile time*.  For a concrete ``(dec, algorithm, itemsize)``
-it emits the gather/rotation passes as flat C loops in which every ``//``
-and ``%`` by a decomposition constant is strength-reduced to the
-fixed-point-reciprocal multiply of :mod:`repro.strength.magic`, with the
-``(multiplier, shift)`` pairs inlined as integer literals.
+The pass engine (:mod:`repro.core.engine`) can execute its three (or two)
+decomposition passes as numpy gathers.  That path is interpreter-bound:
+BENCH_ci.json puts it at ~20-36 ns/elem against a ~0.2-0.6 ns/elem memcpy
+ceiling.  This module closes the gap the way Section 4.4 of the paper does
+on the GPU — by *specializing the index arithmetic at compile time*.  For a
+concrete ``(dec, algorithm, itemsize)`` it emits the gather/rotation passes
+as flat C loops in which every ``//`` and ``%`` by a decomposition constant
+is strength-reduced to the fixed-point-reciprocal multiply of
+:mod:`repro.strength.magic`, with the ``(multiplier, shift)`` pairs inlined
+as integer literals.
 
 The generated translation unit exports, with C linkage:
 
 ``int repro_pass_<k>(char *buf, int64_t lo, int64_t hi)``
     Pass ``k`` over the half-open range ``[lo, hi)`` of its parallel axis
     (column groups for rotations, rows for the row shuffle, columns for the
-    column shuffle) — the same chunk geometry
-    :mod:`repro.parallel.cpu` schedules, so the thread backend can drive a
-    compiled kernel directly.  Returns 0, or 1 if scratch allocation failed
-    *before any element moved* (the caller falls back to numpy).
+    column shuffle) — the same chunk geometry the engine's schedule
+    (:func:`repro.core.engine.schedule`) hands every executor, so the
+    thread backend can drive a compiled kernel directly.  Returns 0, or 1
+    if scratch allocation failed *before any element moved* (the caller
+    falls back to numpy).
 ``int repro_pass_<k>_batch(char *buf, int64_t k)``
     The same pass applied to ``k`` consecutive ``m x n`` tiles.
 ``int repro_pass_<k>_banded(char *buf, int64_t lo, int64_t hi,
@@ -56,12 +57,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..core.engine import Pass, schedule
 from ..core.indexing import Decomposition
 from ..core.numbertheory import mmi
 from ..strength.magic import compute_magic
 
 __all__ = [
-    "PassInfo",
     "KernelSpec",
     "ineligible_reason",
     "generate_source",
@@ -92,17 +93,6 @@ _COL_BLOCK_SCRATCH = 1 << 19
 
 
 @dataclass(frozen=True)
-class PassInfo:
-    """One generated pass: its plan-step kind, the name the parallel
-    transposer schedules it under, its parallel axis, and the axis extent."""
-
-    kind: str  # plan-step kind: rotate_groups | gather_cols | gather_rows
-    parallel_name: str  # pre_rotate | row_shuffle | column_shuffle | ...
-    axis: str  # groups | rows | cols
-    extent: int
-
-
-@dataclass(frozen=True)
 class KernelSpec:
     """A generated translation unit plus the metadata needed to drive it."""
 
@@ -110,7 +100,7 @@ class KernelSpec:
     n: int
     algorithm: str
     itemsize: int
-    passes: tuple[PassInfo, ...]
+    passes: tuple[Pass, ...]  # the engine's schedule, one symbol set each
     source: str
 
 
@@ -553,33 +543,14 @@ _BANDED_PASS_SYMBOLS = {
 
 
 def pass_symbol(kind: str) -> str:
-    """The exported C symbol implementing a plan-step kind."""
+    """The exported C symbol implementing a pass kind."""
     return _PASS_SYMBOLS[kind]
 
 
 def banded_pass_symbol(kind: str) -> str | None:
-    """The band-rebased C symbol for a plan-step kind, or ``None`` when the
+    """The band-rebased C symbol for a pass kind, or ``None`` when the
     full-width symbol already serves band buffers (row-axis passes)."""
     return _BANDED_PASS_SYMBOLS.get(kind)
-
-
-def _pass_layout(dec: Decomposition, algorithm: str) -> tuple[PassInfo, ...]:
-    """Pass order and chunk axes, mirroring ``TransposePlan._build_*`` and
-    the schedule names of :mod:`repro.parallel.cpu` one-to-one."""
-    if algorithm == "c2r":
-        passes = []
-        if dec.c > 1:
-            passes.append(PassInfo("rotate_groups", "pre_rotate", "groups", dec.c))
-        passes.append(PassInfo("gather_cols", "row_shuffle", "rows", dec.m))
-        passes.append(PassInfo("gather_rows", "column_shuffle", "cols", dec.n))
-        return tuple(passes)
-    passes = [
-        PassInfo("gather_rows", "inverse_column_shuffle", "cols", dec.n),
-        PassInfo("gather_cols", "row_shuffle_r2c", "rows", dec.m),
-    ]
-    if dec.c > 1:
-        passes.append(PassInfo("rotate_groups", "post_rotate", "groups", dec.c))
-    return tuple(passes)
 
 
 def generate_source(
@@ -596,7 +567,7 @@ def generate_source(
     if reason is not None:
         raise ValueError(f"shape not compilable: {reason}")
 
-    passes = _pass_layout(dec, algorithm)
+    passes = schedule(dec, algorithm)
     elem = _ELEM_TYPES[itemsize]
     parts = [
         "/* generated by repro.native.codegen -- do not edit.",

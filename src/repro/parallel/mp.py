@@ -8,9 +8,9 @@ true parallel-for on a persistent process pool:
 * the matrix lives in a :class:`~repro.parallel.shm.SharedArray` segment
   every worker maps;
 * only ``(name, shape, dtype, pass, chunk)`` descriptors cross the process
-  boundary — workers rebuild decompositions and reduced equations from the
-  descriptor and cache them per shape, so no live numpy closure is ever
-  pickled;
+  boundary — a worker resolves the pass from the engine's schedule and runs
+  the engine's numpy chunk body (:func:`repro.core.engine.numpy_chunk`), so
+  no live numpy closure is ever pickled;
 * the inter-pass barrier is :meth:`MpExecutor.run_chunks`, with the same
   failure contract as the thread executor: first failure cancels what has
   not started, waits for in-flight chunks, and raises
@@ -44,13 +44,17 @@ from concurrent.futures import (
     wait,
 )
 from concurrent.futures.process import BrokenProcessPool
-from contextlib import nullcontext
 from time import perf_counter
 
 import numpy as np
 
+from ..core import engine
+from ..core.engine import NULL_CM, pass_point
 from ..core.indexing import Decomposition
 from ..core.transpose import choose_algorithm
+from ..runtime.metrics import registry
+from ..trace import spans
+from ..trace.spans import tracer
 from . import shm as shm_mod
 from .executor import PassExecutionError
 from .partition import balanced_chunks
@@ -62,33 +66,6 @@ __all__ = [
     "WorkerCrashedError",
     "default_start_method",
 ]
-
-#: reusable stateless no-op context manager for untraced paths
-_NULL_CM = nullcontext()
-
-_metrics = None
-_trace = None
-
-
-def _runtime_metrics():
-    """Lazily bind repro.runtime.metrics (kept acyclic w.r.t. package init)."""
-    global _metrics
-    if _metrics is None:
-        from ..runtime import metrics
-
-        _metrics = metrics
-    return _metrics
-
-
-def _tracer():
-    """Lazily bind the process-wide structured tracer (repro.trace.spans)."""
-    global _trace
-    if _trace is None:
-        from ..trace import spans
-
-        _trace = spans
-    return _trace.tracer
-
 
 class WorkerCrashedError(RuntimeError):
     """A worker process died mid-task (segfault, ``os._exit``, OOM-kill).
@@ -121,45 +98,7 @@ def _worker_init() -> None:
     explicitly shipped back; tasks that want metrics (the serving batch
     task) enable the registry around their run and return the snapshot.
     """
-    _runtime_metrics().registry.enabled = False
-
-
-#: child-side cache: (vm, vn, strength_reduced) -> (Decomposition, red|None)
-_shape_state: dict = {}
-_SHAPE_STATE_MAX = 16
-
-
-def _shape_setup(vm: int, vn: int, strength_reduced: bool):
-    key = (vm, vn, bool(strength_reduced))
-    hit = _shape_state.get(key)
-    if hit is None:
-        from ..strength.reduced import ReducedEquations
-
-        dec = Decomposition.of(vm, vn)
-        red = None
-        if strength_reduced:
-            try:
-                red = ReducedEquations(dec)
-            except ValueError:
-                red = None
-        if len(_shape_state) >= _SHAPE_STATE_MAX:
-            _shape_state.pop(next(iter(_shape_state)))
-        hit = _shape_state[key] = (dec, red)
-    return hit
-
-
-def _run_chunk(V, dec, red, pass_name: str, chunk: slice) -> None:
-    """Dispatch one pass chunk to the matching gather/rotate kernel."""
-    from . import cpu
-
-    if pass_name in ("pre_rotate", "post_rotate"):
-        cpu.rotate_chunk(V, dec, -1 if pass_name == "pre_rotate" else 1, chunk)
-    elif pass_name in ("row_shuffle", "row_shuffle_r2c"):
-        cpu.row_gather_chunk(V, dec, cpu.pass_index_map(pass_name, dec, red), chunk)
-    elif pass_name in ("column_shuffle", "inverse_column_shuffle"):
-        cpu.col_gather_chunk(V, dec, cpu.pass_index_map(pass_name, dec, red), chunk)
-    else:
-        raise ValueError(f"unknown pass {pass_name!r}")
+    registry.enabled = False
 
 
 def _capture_worker_spans(trace, run) -> dict:
@@ -173,20 +112,19 @@ def _capture_worker_spans(trace, run) -> dict:
     shared CLOCK_MONOTONIC ``perf_counter`` base, directly comparable to
     the parent's.
     """
-    tr = _tracer()
-    was_enabled = tr.enabled
-    tr.drain()
-    tr.enabled = True
+    was_enabled = tracer.enabled
+    tracer.drain()
+    tracer.enabled = True
     try:
-        with tr.activate(_trace.TraceContext(str(trace[0]), int(trace[1]))):
+        with tracer.activate(spans.TraceContext(str(trace[0]), int(trace[1]))):
             result = run()
         return {
-            "spans": _trace.spans_to_wire(tr.drain()),
+            "spans": spans.spans_to_wire(tracer.drain()),
             "pid": os.getpid(),
             "result": result,
         }
     finally:
-        tr.enabled = was_enabled
+        tracer.enabled = was_enabled
 
 
 def _pass_chunk_task(
@@ -199,29 +137,40 @@ def _pass_chunk_task(
     stop: int,
     strength_reduced: bool,
     trace: tuple | None = None,
+    band_shape: tuple | None = None,
+    origin: int = 0,
 ) -> dict | None:
-    """Run one chunk of one pass against the shared segment (child side).
+    """Run one chunk of one pass against a shared segment (child side).
 
-    With a ``trace`` descriptor, the chunk runs inside a ``worker.chunk``
-    span and the worker's span ring ships back for the parent to splice;
-    without one the task stays result-free (nothing crosses back).
+    The segment holds the whole ``vm x vn`` view, or — with ``band_shape``
+    — one band of it starting at row/column/group ``origin`` (the streamed
+    executor's per-band segment).  The chunk is the engine's numpy body in
+    global coordinates.  With a ``trace`` descriptor, the chunk runs inside
+    a ``worker.chunk`` span and the worker's span ring ships back for the
+    parent to splice; without one the task stays result-free.
     """
-    V = shm_mod.attach_array(shm_name, (vm, vn), dtype_str)
-    dec, red = _shape_setup(vm, vn, strength_reduced)
-    chunk = slice(int(start), int(stop))
-    if trace is None:
-        _run_chunk(V, dec, red, pass_name, chunk)
-        return None
+    dec = Decomposition.of(vm, vn)
+    p = engine.pass_of(dec, pass_name)
+    B = shm_mod.attach_array(shm_name, tuple(band_shape or (vm, vn)), dtype_str)
+    red = engine.reduced_equations(dec) if strength_reduced else None
+    lo, hi = int(start), int(stop)
 
     def run():
-        tr = _tracer()
-        with tr.span(
-            "worker.chunk", stage=pass_name, start=chunk.start,
-            stop=chunk.stop, backend="mp",
-        ):
-            _run_chunk(V, dec, red, pass_name, chunk)
+        engine.numpy_chunk(B, dec, p, lo, hi, int(origin), red=red)
 
-    out = _capture_worker_spans(trace, run)
+    if trace is None:
+        run()
+        return None
+
+    def traced():
+        r0, r1, c0, c1 = engine.chunk_rect(dec, p, lo, hi)
+        with tracer.span(
+            "worker.chunk", stage=pass_name, r0=r0, r1=r1, c0=c0, c1=c1,
+            bytes=2 * (r1 - r0) * (c1 - c0) * B.itemsize, backend="mp",
+        ):
+            run()
+
+    out = _capture_worker_spans(trace, traced)
     out.pop("result", None)
     return out
 
@@ -258,23 +207,21 @@ def _serve_batch_task(
             os._exit(17)
     from ..core.batched import batched_transpose_inplace
 
-    reg = _runtime_metrics().registry
     V = shm_mod.attach_array(shm_name, (int(tiles), int(m) * int(n)), dtype_str)
-    was_enabled = reg.enabled
-    reg.enabled = True
-    reg.reset()
+    was_enabled = registry.enabled
+    registry.enabled = True
+    registry.reset()
     try:
         if trace is None:
             batched_transpose_inplace(V, m, n, order)
-            return reg.snapshot()
+            return registry.snapshot()
 
         def run():
-            tr = _tracer()
-            with tr.span(
+            with tracer.span(
                 "worker.group", m=m, n=n, batch=tiles, backend="mp",
             ):
                 batched_transpose_inplace(V, m, n, order)
-            return reg.snapshot()
+            return registry.snapshot()
 
         captured = _capture_worker_spans(trace, run)
         snap = captured.pop("result")
@@ -282,7 +229,7 @@ def _serve_batch_task(
         snap["pid"] = captured["pid"]
         return snap
     finally:
-        reg.enabled = was_enabled
+        registry.enabled = was_enabled
 
 
 class MpExecutor:
@@ -417,99 +364,60 @@ class MpTranspose:
     # -- pass plumbing ---------------------------------------------------------
 
     def _run_pass(
-        self, seg: shm_mod.SharedArray, dec, name: str, total: int,
-        parent_span_id: int = 0,
+        self, seg: shm_mod.SharedArray, p: engine.Pass, parent_span_id: int = 0,
     ) -> None:
         vm, vn = seg.shape
         dtype_str = seg.dtype.str
-        tr = _tracer()
         # Ship a (trace_id, parent span id) descriptor with each chunk so
         # worker-side ``worker.chunk`` spans parent under this pass's span;
         # each worker's ring comes back in the task result and splices here.
         trace_desc = None
-        if tr.enabled and parent_span_id:
-            trace_desc = (tr.current_trace_id(), parent_span_id)
+        if tracer.enabled and parent_span_id:
+            trace_desc = (tracer.current_trace_id(), parent_span_id)
         tasks = [
-            (ch, (seg.name, vm, vn, dtype_str, name, ch.start, ch.stop,
+            (ch, (seg.name, vm, vn, dtype_str, p.name, ch.start, ch.stop,
                   self.strength_reduced, trace_desc))
-            for ch in balanced_chunks(total, self.n_workers)
+            for ch in balanced_chunks(p.extent, self.n_workers)
         ]
-        results = self.executor.run_chunks(name, _pass_chunk_task, tasks)
+        results = self.executor.run_chunks(p.name, _pass_chunk_task, tasks)
         if trace_desc is not None:
             for res in results:
                 if res and res.get("spans"):
-                    tr.splice(
+                    tracer.splice(
                         res["spans"], parent_id=parent_span_id,
                         trace_id=trace_desc[0],
                     )
 
-    def _timed(self, seg: shm_mod.SharedArray, dec, name: str, total: int) -> None:
-        """Barrier-run one pass, recording ``parallel.pass.<name>`` and a
-        ``pass.<name>`` span exactly like the thread backend."""
-        rt = _runtime_metrics()
-        tr = _tracer()
-        if tr.enabled:
-            with tr.span(
-                f"pass.{name}", m=dec.m, n=dec.n,
-                bytes=2 * seg.array.nbytes,
-            ) as sp:
-                self._run_pass(seg, dec, name, total,
-                               parent_span_id=sp.span_id)
-            if rt.registry.enabled:
-                rt.registry.observe(f"parallel.pass.{name}", sp.duration_s)
-        elif rt.registry.enabled:
-            t0 = perf_counter()
-            self._run_pass(seg, dec, name, total)
-            rt.registry.observe(f"parallel.pass.{name}", perf_counter() - t0)
-        else:
-            self._run_pass(seg, dec, name, total)
-
-    @staticmethod
-    def _validate(buf: np.ndarray, m: int, n: int) -> None:
-        if not buf.flags["C_CONTIGUOUS"]:
-            raise ValueError(
-                "in-place transposition requires a contiguous buffer "
-                "(a non-contiguous view would be silently copied, not permuted)"
-            )
-        if buf.ndim != 1 or buf.shape[0] != m * n:
-            raise ValueError(f"buffer must be flat with {m * n} elements")
-
-    def _run(self, buf: np.ndarray, m: int, n: int, kind: str) -> np.ndarray:
-        """Stage into shared memory, run the pass schedule, copy back."""
-        self._validate(buf, m, n)
-        dec = Decomposition.of(m, n)
-        rt = _runtime_metrics()
-        tr = _tracer()
-        t0 = perf_counter() if rt.registry.enabled else 0.0
-        passes = 3 if dec.c > 1 else 2
-        with tr.span(
-            f"op.parallel.{kind}", m=m, n=n, threads=self.n_workers,
+    def run(self, buf: np.ndarray, m: int, n: int, algorithm: str) -> np.ndarray:
+        """Stage the ``m x n`` view of ``buf`` into shared memory, run
+        ``algorithm``'s pass schedule on the pool, copy back."""
+        V = engine.matrix_view(buf, m, n)
+        passes = engine.schedule(Decomposition.of(m, n), algorithm)
+        t0 = perf_counter() if registry.enabled else 0.0
+        with tracer.span(
+            f"op.parallel.{algorithm}", m=m, n=n, threads=self.n_workers,
             backend="mp", dtype=str(buf.dtype),
-        ) if tr.enabled else _NULL_CM:
+        ) if tracer.enabled else NULL_CM:
             seg = shm_mod.SharedArray((m, n), buf.dtype)
             try:
-                np.copyto(seg.array, buf.reshape(m, n))
-                if kind == "c2r":
-                    if dec.c > 1:
-                        self._timed(seg, dec, "pre_rotate", dec.c)
-                    self._timed(seg, dec, "row_shuffle", dec.m)
-                    self._timed(seg, dec, "column_shuffle", dec.n)
-                else:
-                    self._timed(seg, dec, "inverse_column_shuffle", dec.n)
-                    self._timed(seg, dec, "row_shuffle_r2c", dec.m)
-                    if dec.c > 1:
-                        self._timed(seg, dec, "post_rotate", dec.c)
-                np.copyto(buf.reshape(m, n), seg.array)
+                np.copyto(seg.array, V)
+                for p in passes:
+                    with pass_point(
+                        "parallel", p, m=m, n=n, bytes=2 * buf.nbytes,
+                        backend="mp",
+                    ) as sp:
+                        self._run_pass(seg, p, sp.span_id if sp else 0)
+                np.copyto(V, seg.array)
             finally:
                 seg.destroy()
-        if rt.registry.enabled:
+        if registry.enabled:
             # Theorem 6 accounting, same as the thread backend: the
             # staging copies are scratch traffic and do not count.
-            rt.registry.record_call(
-                f"parallel.{kind}",
+            registry.record_call(
+                f"parallel.{algorithm}",
                 perf_counter() - t0,
-                nbytes=2 * passes * buf.nbytes,
-                elements=passes * buf.shape[0],
+                nbytes=2 * len(passes) * buf.nbytes,
+                elements=len(passes) * buf.size,
             )
         return buf
 
@@ -517,11 +425,11 @@ class MpTranspose:
 
     def c2r(self, buf: np.ndarray, m: int, n: int) -> np.ndarray:
         """Process-parallel C2R transposition of a flat buffer."""
-        return self._run(buf, m, n, "c2r")
+        return self.run(buf, m, n, "c2r")
 
     def r2c(self, buf: np.ndarray, m: int, n: int) -> np.ndarray:
         """Process-parallel R2C transposition of a flat buffer."""
-        return self._run(buf, m, n, "r2c")
+        return self.run(buf, m, n, "r2c")
 
     def transpose_inplace(
         self, buf: np.ndarray, m: int, n: int, order: str = "C"

@@ -7,10 +7,10 @@ the two process-wide services that make the library behave like a server
 rather than a collection of kernels:
 
 ``repro.runtime.plan_cache``
-    A thread-safe LRU cache of :class:`~repro.core.plan.TransposePlan` /
-    :class:`~repro.core.batched.BatchedTransposePlan` objects keyed by
-    ``(kind, m, n, k, order, algorithm, variant, dtype)``, with a byte
-    budget (plans hold ``O(mn)`` int32 maps) and hit/miss/eviction stats.
+    A thread-safe LRU cache of :class:`~repro.core.plan.TransposePlan`
+    objects keyed by ``(m, n, order, algorithm, dtype)`` — one entry per
+    shape, any batch size — with a byte budget over what plans acquire
+    (numpy gather maps, compiled kernels) and hit/miss/eviction stats.
 
 ``repro.runtime.metrics``
     Per-pass timers, bytes-moved and elements-touched counters, and a JSON

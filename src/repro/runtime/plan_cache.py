@@ -7,26 +7,29 @@ batched FFT-style pipelines, attention-head reshapes) pays the planning tax
 on every call unless something amortizes it.  This module is that something:
 a process-wide LRU keyed by
 
-    ``(kind, m, n, k, order, algorithm, variant, dtype)``
+    ``(m, n, order, algorithm, dtype)``
 
-mapping to fully built :class:`~repro.core.plan.TransposePlan` /
-:class:`~repro.core.batched.BatchedTransposePlan` objects.  Plans are
-immutable after construction (see ``tests/test_concurrency.py``), so one
-instance may be executed from any number of threads concurrently.
+mapping to :class:`~repro.core.plan.TransposePlan` objects — one entry per
+shape, whatever batch sizes it is executed with.  Plans are safe to execute
+from any number of threads concurrently (see ``tests/test_concurrency.py``).
 
-Because each plan stores ``O(mn)`` int32 gather maps, the cache enforces a
-configurable **byte budget** (default 256 MiB, env
-``REPRO_PLAN_CACHE_BYTES``): least-recently-used plans are evicted once the
-budget is exceeded, and a single plan larger than the whole budget is
-returned to the caller but never retained.  The cache can be disabled
-entirely with :func:`configure` or ``REPRO_PLAN_CACHE=0``.
+A plan's own state is ``O(1)``; what it acquires later is charged to its
+entry through :func:`charge` / :meth:`PlanCache.adjust_bytes`: the numpy
+gather maps its first numpy execute builds, and the native backend's
+compiled ``.so`` files.  The cache enforces a configurable **byte budget**
+over those charges (default 256 MiB, env ``REPRO_PLAN_CACHE_BYTES``):
+least-recently-used plans are evicted once the budget is exceeded, and an
+entry that outgrows the whole budget on its own is dropped rather than
+flushing every other entry.  At most :data:`MAX_ENTRIES` plans are retained,
+so a stream of distinct shapes cannot grow the cache without bound.  The
+cache can be disabled entirely with :func:`configure` or
+``REPRO_PLAN_CACHE=0``.
 
-Retained plans are stamped with a ``_plan_cache_binding`` back-reference so
-side artifacts acquired after insertion — the native backend's compiled
-``.so`` files — can be charged to the entry via :meth:`PlanCache.adjust_bytes`
-and count against the same budget.  Eviction (LRU, budget shrink, or
-:meth:`PlanCache.clear`) invokes the plan's ``on_cache_evict`` hook outside
-the lock, which releases those artifacts.
+Retained plans are stamped with a ``_plan_cache_binding`` back-reference
+(removed again on eviction) so those charges find their entry.  Eviction
+(LRU, budget shrink, or :meth:`PlanCache.clear`) invokes the plan's
+``on_cache_evict`` hook outside the lock, which drops the maps and releases
+the artifacts.
 
 Hit/miss/eviction counts are part of :func:`repro.runtime.metrics.snapshot`.
 """
@@ -36,8 +39,11 @@ from __future__ import annotations
 import os
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from time import perf_counter
+
+from ..trace.events import event_log
+from ..trace.spans import tracer
 
 __all__ = [
     "PlanKey",
@@ -49,67 +55,31 @@ __all__ = [
     "stats",
     "get_single_plan",
     "get_batched_plan",
+    "charge",
 ]
 
 DEFAULT_MAX_BYTES = 256 * 1024 * 1024
 
-_trace = None
-_events = None
-
-
-def _tracer():
-    """Lazily bind the process-wide tracer (repro.trace.spans is stdlib-only,
-    so this import can never recurse into package initialization)."""
-    global _trace
-    if _trace is None:
-        from repro.trace import spans as _sp
-
-        _trace = _sp
-    return _trace.tracer
-
-
-def _event_log():
-    """Lazily bind the structured event log (also stdlib-only)."""
-    global _events
-    if _events is None:
-        from repro.trace import events as _ev
-
-        _events = _ev
-    return _events.event_log
-
-
-def _key_attrs(key: "PlanKey") -> dict:
-    """Span attributes identifying a cached plan in ``cache.*`` events."""
-    return {
-        "kind": key.kind,
-        "m": key.m,
-        "n": key.n,
-        "k": key.k,
-        "order": key.order,
-        "algorithm": key.algorithm,
-        "dtype": key.dtype,
-    }
+#: most plans retained at once: plans are O(1) until something is charged
+#: to them, so the byte budget alone would not bound their count
+MAX_ENTRIES = 4096
 
 
 @dataclass(frozen=True)
 class PlanKey:
     """The identity of a cached plan.
 
-    ``kind`` separates single-matrix from batched plans; ``k`` is the batch
-    count (``None`` for single plans).  ``dtype`` is part of the key even
-    though the int32 gather maps are dtype-independent — it keeps hit/miss
-    accounting meaningful per workload and costs nothing for the one or two
-    dtypes a real pipeline uses.  ``algorithm`` is stored post-heuristic
-    (never ``"auto"``) so explicit and heuristic requests share entries.
+    A batch is a leading extent of one plan, so the batch size is not part
+    of the key.  ``dtype`` is: it keeps hit/miss accounting meaningful per
+    workload and selects the native kernel's element width.  ``algorithm``
+    is stored post-heuristic (never ``"auto"``) so explicit and heuristic
+    requests share entries.
     """
 
-    kind: str
     m: int
     n: int
-    k: int | None
     order: str
     algorithm: str
-    variant: str
     dtype: str
 
 
@@ -117,10 +87,10 @@ class PlanCache:
     """LRU plan cache with a byte budget and hit/miss/eviction statistics.
 
     A single reentrant lock guards the map and the counters.  Plan
-    *construction* happens outside the lock — building a plan is a full pass
-    over ``O(mn)`` index data and must not serialize unrelated shapes; the
-    cost is that two threads racing on the same cold key may both build, with
-    one build discarded (counted under ``races``).
+    *construction* happens outside the lock so a slow factory never
+    serializes unrelated shapes; the cost is that two threads racing on the
+    same cold key may both build, with one build discarded (counted under
+    ``races``).
     """
 
     def __init__(self, max_bytes: int = DEFAULT_MAX_BYTES, enabled: bool = True):
@@ -148,7 +118,6 @@ class PlanCache:
         """
         if not self.enabled:
             return factory()
-        tr = _tracer()
         with self._lock:
             entry = self._plans.get(key)
             if entry is not None:
@@ -159,16 +128,16 @@ class PlanCache:
         # Trace events fire outside the lock: the tracer is a leaf subsystem
         # and must never extend the cache's critical section.
         if entry is not None:
-            if tr.enabled:
-                tr.event("cache.hit", **_key_attrs(key))
+            if tracer.enabled:
+                tracer.event("cache.hit", **asdict(key))
             return entry[0]
-        if tr.enabled:
-            tr.event("cache.miss", **_key_attrs(key))
+        if tracer.enabled:
+            tracer.event("cache.miss", **asdict(key))
         t0 = perf_counter()
         plan = factory()
         dt = perf_counter() - t0
         nbytes = int(size_of(plan))
-        evicted: list[tuple[PlanKey, int]] = []
+        evicted: list[tuple[PlanKey, object, int]] = []
         with self._lock:
             self.build_seconds += dt
             if key in self._plans:
@@ -180,18 +149,34 @@ class PlanCache:
             if nbytes > self.max_bytes:
                 self.oversize_rejects += 1
                 return plan
-            # The binding lets post-insertion artifacts (native kernel .so
-            # files) charge their size to this entry via adjust_bytes.
+            # The binding lets what the plan acquires later (numpy maps,
+            # native kernel .so files) charge its size to this entry.
             plan.__dict__["_plan_cache_binding"] = (self, key)
             self._plans[key] = (plan, nbytes)
             self.current_bytes += nbytes
-            while self.current_bytes > self.max_bytes and len(self._plans) > 1:
-                ekey, (eplan, evicted_bytes) = self._plans.popitem(last=False)
-                self.current_bytes -= evicted_bytes
-                self.evictions += 1
-                evicted.append((ekey, eplan, evicted_bytes))
+            while len(self._plans) > 1 and (
+                self.current_bytes > self.max_bytes
+                or len(self._plans) > MAX_ENTRIES
+            ):
+                evicted.append(self._evict_locked(next(iter(self._plans))))
         self._fire_evictions(evicted)
         return plan
+
+    def _evict_locked(
+        self, key: PlanKey, *, oversize: bool = False
+    ) -> tuple[PlanKey, object, int]:
+        """Drop ``key`` (an LRU eviction, or an entry that outgrew the
+        whole budget); the caller fires its hook after releasing the lock.
+        Callers already hold the (reentrant) lock."""
+        with self._lock:
+            plan, nbytes = self._plans.pop(key)
+            plan.__dict__.pop("_plan_cache_binding", None)
+            self.current_bytes -= nbytes
+            if oversize:
+                self.oversize_rejects += 1
+            else:
+                self.evictions += 1
+        return key, plan, nbytes
 
     def _fire_evictions(
         self, evicted: list[tuple[PlanKey, object, int]]
@@ -201,17 +186,15 @@ class PlanCache:
         never extend the cache's critical section."""
         if not evicted:
             return
-        tr = _tracer()
-        ev = _event_log()
         for ekey, eplan, ebytes in evicted:
-            if tr.enabled:
-                tr.event("cache.evict", bytes=ebytes, **_key_attrs(ekey))
-            if ev.enabled:
+            if tracer.enabled:
+                tracer.event("cache.evict", bytes=ebytes, **asdict(ekey))
+            if event_log.enabled:
                 # Attributed to whichever request's plan build triggered
                 # the eviction ("" outside a traced request).
-                ev.emit(
-                    "evict", trace_id=tr.current_trace_id(),
-                    bytes=ebytes, **_key_attrs(ekey),
+                event_log.emit(
+                    "evict", trace_id=tracer.current_trace_id(),
+                    bytes=ebytes, **asdict(ekey),
                 )
             hook = getattr(eplan, "on_cache_evict", None)
             if hook is not None:
@@ -221,11 +204,13 @@ class PlanCache:
         """Re-account ``key``'s entry by ``delta`` bytes.
 
         Used when a retained plan's resident footprint changes after
-        insertion — the native backend charges each compiled ``.so`` here so
-        artifacts live under the same budget as the gather maps.  Unknown
-        keys are ignored (the plan was evicted meanwhile, never retained,
-        or the cache is disabled).  Growth runs the normal LRU eviction
-        loop and may, at the margin, evict the adjusted entry itself.
+        insertion — its numpy gather maps and each compiled ``.so`` are
+        charged here, so they live under the cache's budget.  Unknown keys
+        are ignored (the plan was evicted meanwhile, never retained, or the
+        cache is disabled).  An entry that now exceeds the whole budget is
+        dropped on its own (counted under ``oversize_rejects``); otherwise
+        growth runs the normal LRU eviction loop and may, at the margin,
+        evict the adjusted entry itself.
         """
         evicted: list[tuple[PlanKey, object, int]] = []
         with self._lock:
@@ -236,11 +221,10 @@ class PlanCache:
             new_bytes = max(0, nbytes + int(delta))
             self._plans[key] = (plan, new_bytes)
             self.current_bytes += new_bytes - nbytes
+            if new_bytes > self.max_bytes:
+                evicted.append(self._evict_locked(key, oversize=True))
             while self.current_bytes > self.max_bytes and len(self._plans) > 1:
-                ekey, (eplan, evicted_bytes) = self._plans.popitem(last=False)
-                self.current_bytes -= evicted_bytes
-                self.evictions += 1
-                evicted.append((ekey, eplan, evicted_bytes))
+                evicted.append(self._evict_locked(next(iter(self._plans))))
         self._fire_evictions(evicted)
 
     # -- management ------------------------------------------------------------
@@ -255,6 +239,8 @@ class PlanCache:
         """
         with self._lock:
             dropped = [plan for plan, _ in self._plans.values()]
+            for plan in dropped:
+                plan.__dict__.pop("_plan_cache_binding", None)
             self._plans.clear()
             self.current_bytes = 0
         for plan in dropped:
@@ -283,10 +269,7 @@ class PlanCache:
             if max_bytes is not None:
                 self.max_bytes = int(max_bytes)
                 while self.current_bytes > self.max_bytes and self._plans:
-                    ekey, (eplan, evicted_bytes) = self._plans.popitem(last=False)
-                    self.current_bytes -= evicted_bytes
-                    self.evictions += 1
-                    evicted.append((ekey, eplan, evicted_bytes))
+                    evicted.append(self._evict_locked(next(iter(self._plans))))
         self._fire_evictions(evicted)
 
     def stats(self) -> dict:
@@ -344,6 +327,16 @@ def stats() -> dict:
 # initialization, so the core <-> runtime import graph stays acyclic.
 
 
+def charge(plan, nbytes: int) -> None:
+    """Charge ``nbytes`` a plan acquired after insertion (numpy maps, a
+    compiled artifact) to its cache entry; a no-op for plans no cache
+    retains."""
+    binding = plan.__dict__.get("_plan_cache_binding")
+    if binding is not None:
+        cache, key = binding
+        cache.adjust_bytes(key, nbytes)
+
+
 def get_single_plan(
     m: int, n: int, order: str, algorithm: str, dtype, *, cache: PlanCache | None = None
 ):
@@ -357,7 +350,7 @@ def get_single_plan(
 
     if algorithm == "auto":
         algorithm = choose_algorithm(m, n)
-    key = PlanKey("single", m, n, None, order, algorithm, "gather", str(dtype))
+    key = PlanKey(m, n, order, algorithm, str(dtype))
     target = cache if cache is not None else _GLOBAL
     return target.get_or_build(
         key,
@@ -376,16 +369,6 @@ def get_batched_plan(
     *,
     cache: PlanCache | None = None,
 ):
-    """A (possibly cached) :class:`BatchedTransposePlan` for ``k`` matrices."""
-    from repro.core.batched import BatchedTransposePlan
-    from repro.core.transpose import choose_algorithm
-
-    if algorithm == "auto":
-        algorithm = choose_algorithm(m, n)
-    key = PlanKey("batched", m, n, int(k), order, algorithm, "gather", str(dtype))
-    target = cache if cache is not None else _GLOBAL
-    return target.get_or_build(
-        key,
-        lambda: BatchedTransposePlan(m, n, order, algorithm),
-        lambda plan: plan.scratch_bytes,
-    )
+    """The plan for ``k`` stacked matrices: the same entry as
+    :func:`get_single_plan`, since a batch is a leading extent."""
+    return get_single_plan(m, n, order, algorithm, dtype, cache=cache)

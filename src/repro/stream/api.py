@@ -40,8 +40,6 @@ def transpose_file_inplace(
     io_block_bytes: int | None = None,
     backend: str = "threads",
     n_threads: int = 1,
-    native: str = "auto",
-    strength_reduced: bool = True,
     start_method: str | None = None,
 ) -> dict:
     """Transpose the ``m x n`` matrix stored in a raw binary file, in place,
@@ -80,8 +78,6 @@ def transpose_file_inplace(
         backend=backend,
         window_bytes=window_bytes,
         io_block_bytes=io_block_bytes,
-        strength_reduced=strength_reduced,
-        native=native,
         start_method=start_method,
     ) as ex:
         return ex.transpose_file(

@@ -35,84 +35,24 @@ path.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from time import perf_counter
 
 import numpy as np
 
-from ..core.indexing import Decomposition
-from ..core.transpose import choose_algorithm
+from ..core import engine
+from ..core.engine import NULL_CM, chunk_body, pass_point
 from ..parallel.executor import ParallelExecutor
 from ..parallel.partition import balanced_chunks
-from ..strength.reduced import ReducedEquations
+from ..runtime import plan_cache
+from ..runtime.metrics import registry
+from ..trace.events import event_log
+from ..trace.spans import tracer
 from .window import ResidentWindow, default_window_bytes, parse_bytes
 
 __all__ = [
     "BandedExecutor",
     "BandedScheduleError",
-    "band_rotate_chunk",
-    "band_row_gather_chunk",
-    "band_col_gather_chunk",
 ]
-
-#: reusable stateless no-op context manager for untraced paths
-_NULL_CM = nullcontext()
-
-_metrics = None
-_trace = None
-_events = None
-_racecheck = None
-_native_mod = None
-
-
-def _runtime_metrics():
-    """Lazily bind repro.runtime.metrics (kept acyclic w.r.t. package init)."""
-    global _metrics
-    if _metrics is None:
-        from ..runtime import metrics
-
-        _metrics = metrics
-    return _metrics
-
-
-def _tracer():
-    """Lazily bind the process-wide structured tracer (repro.trace.spans)."""
-    global _trace
-    if _trace is None:
-        from ..trace import spans
-
-        _trace = spans
-    return _trace.tracer
-
-
-def _event_log():
-    """Lazily bind the structured event log (repro.trace.events)."""
-    global _events
-    if _events is None:
-        from ..trace import events
-
-        _events = events
-    return _events.event_log
-
-
-def _racecheck_mod():
-    """Lazily bind the race checker (proof gate + sanitizer)."""
-    global _racecheck
-    if _racecheck is None:
-        from ..analysis import racecheck
-
-        _racecheck = racecheck
-    return _racecheck
-
-
-def _native():
-    """Lazily bind the compiled-kernel backend (repro.native)."""
-    global _native_mod
-    if _native_mod is None:
-        from .. import native
-
-        _native_mod = native
-    return _native_mod
 
 
 class BandedScheduleError(RuntimeError):
@@ -123,109 +63,6 @@ class BandedScheduleError(RuntimeError):
 #: schedules — the proof is pure in those five ints, so one-shot entry
 #: points (`transpose_file_inplace`) share it across executor instances.
 _PROVEN: set[tuple] = set()
-
-
-# -- band-aware chunk kernels --------------------------------------------------
-#
-# Same gather/rotate bodies as repro.parallel.cpu, addressed in *global*
-# matrix coordinates but storing into a band-local buffer.  Module-level so
-# the thread backend calls them through closures and the mp backend ships
-# them by descriptor (repro.stream.executor is importable from a worker).
-
-
-def band_rotate_chunk(
-    B: np.ndarray, dec: Decomposition, sign: int, g0: int, groups: slice
-) -> None:
-    """Rotate column groups ``groups`` (global ids) of a band that starts
-    at group ``g0`` by ``sign * (g mod m)`` (Lemma 1)."""
-    m = dec.m
-    for g in range(groups.start, groups.stop):
-        k = g % m  # repro-lint: allow(raw-divmod) O(c) per-group setup, not per-element
-        if k == 0:
-            continue
-        cols = slice((g - g0) * dec.b, (g - g0 + 1) * dec.b)
-        B[:, cols] = np.roll(B[:, cols], sign * k, axis=0)
-
-
-def band_row_gather_chunk(
-    B: np.ndarray, dec: Decomposition, index_map, r0: int, rows: slice
-) -> None:
-    """Gather global rows ``rows`` of a band starting at row ``r0`` along
-    axis 1 with ``index_map(i, cols)`` — a row reads only itself, so the
-    band copy sees exactly the data the gather needs."""
-    i = np.arange(rows.start, rows.stop, dtype=np.int64)[:, None]
-    cols = np.arange(dec.n, dtype=np.int64)[None, :]
-    idx = index_map(i, cols)
-    local = slice(rows.start - r0, rows.stop - r0)
-    B[local] = np.take_along_axis(B[local], idx, axis=1)
-
-
-def band_col_gather_chunk(
-    B: np.ndarray, dec: Decomposition, index_map, c0: int, cols: slice
-) -> None:
-    """Gather global columns ``cols`` of a band starting at column ``c0``
-    along axis 0 with ``index_map(rows, j)`` — a column reads only itself."""
-    rows = np.arange(dec.m, dtype=np.int64)[:, None]
-    j = np.arange(cols.start, cols.stop, dtype=np.int64)[None, :]
-    idx = index_map(rows, j)
-    local = slice(cols.start - c0, cols.stop - c0)
-    B[:, local] = np.take_along_axis(B[:, local], idx, axis=0)
-
-
-def _run_band_chunk(
-    B: np.ndarray,
-    dec: Decomposition,
-    red,
-    pass_name: str,
-    band_start: int,
-    chunk: slice,
-) -> None:
-    """Dispatch one global-coordinate chunk of a band to its kernel."""
-    from ..parallel import cpu
-
-    if pass_name in ("pre_rotate", "post_rotate"):
-        sign = -1 if pass_name == "pre_rotate" else 1
-        band_rotate_chunk(B, dec, sign, band_start, chunk)
-    elif pass_name in ("row_shuffle", "row_shuffle_r2c"):
-        band_row_gather_chunk(
-            B, dec, cpu.pass_index_map(pass_name, dec, red), band_start, chunk
-        )
-    elif pass_name in ("column_shuffle", "inverse_column_shuffle"):
-        band_col_gather_chunk(
-            B, dec, cpu.pass_index_map(pass_name, dec, red), band_start, chunk
-        )
-    else:
-        raise ValueError(f"unknown pass {pass_name!r}")
-
-
-def _band_chunk_task(
-    shm_name: str,
-    band_shape: tuple,
-    vm: int,
-    vn: int,
-    dtype_str: str,
-    pass_name: str,
-    band_start: int,
-    start: int,
-    stop: int,
-    strength_reduced: bool,
-) -> None:
-    """Child-side mp task: run one chunk of one band against the band's
-    shared segment.  Mirrors ``repro.parallel.mp._pass_chunk_task`` but the
-    segment holds only the band; ``band_start`` anchors the global
-    coordinates the index maps need."""
-    from ..parallel import mp as mp_mod
-    from ..parallel import shm as shm_mod
-
-    B = shm_mod.attach_array(shm_name, tuple(band_shape), dtype_str)
-    dec, red = mp_mod._shape_setup(vm, vn, strength_reduced)
-    _run_band_chunk(B, dec, red, pass_name, band_start, slice(int(start), int(stop)))
-
-
-#: pass name -> band geometry on the (M, N) view:
-#: (window axis, per-iteration unit rows/cols, whether units are colgroups)
-_ROW_PASSES = ("row_shuffle", "row_shuffle_r2c")
-_ROTATE_PASSES = ("pre_rotate", "post_rotate")
 
 
 class BandedExecutor:
@@ -242,11 +79,11 @@ class BandedExecutor:
     window_bytes:
         Resident byte budget per band (default ``REPRO_STREAM_WINDOW`` or
         256 MiB).
-    native:
-        ``"auto"`` (default) runs every pass through the compiled kernel
-        on band buffers when available (row passes via a shifted base,
-        column/rotation passes via the band-rebased entry points);
-        ``"off"`` keeps every chunk on numpy.
+
+    Every pass runs through the compiled kernel of the shape's cached plan
+    when one is available on the thread backend (row passes via a shifted
+    base, column/rotation passes via the band-rebased entry points); the
+    mp backend and the sanitizer run the engine's numpy bodies.
     """
 
     def __init__(
@@ -256,14 +93,10 @@ class BandedExecutor:
         backend: str = "threads",
         window_bytes: int | None = None,
         io_block_bytes: int | None = None,
-        strength_reduced: bool = True,
-        native: str = "auto",
         start_method: str | None = None,
     ):
         if backend not in ("threads", "mp"):
             raise ValueError(f"unknown backend {backend!r}; use 'threads' or 'mp'")
-        if native not in ("auto", "off"):
-            raise ValueError(f"unknown native mode {native!r}; use 'auto' or 'off'")
         if n_threads < 1:
             raise ValueError("n_threads must be >= 1")
         self.n_threads = int(n_threads)
@@ -273,8 +106,6 @@ class BandedExecutor:
             else parse_bytes(window_bytes)
         )
         self.io_block_bytes = io_block_bytes
-        self.strength_reduced = strength_reduced
-        self.native = native
         if backend == "mp":
             from ..parallel.mp import MpExecutor
 
@@ -286,28 +117,20 @@ class BandedExecutor:
 
     # -- band planning -------------------------------------------------------
 
-    def _unit_bytes(self, axis: str, dec: Decomposition, itemsize: int) -> int:
-        """Bytes one iteration unit of ``axis`` keeps resident."""
-        if axis == "rows":
-            return dec.n * itemsize
-        if axis == "cols":
-            return dec.m * itemsize
-        if axis == "colgroups":
-            return dec.m * dec.b * itemsize
-        raise ValueError(f"unknown axis {axis!r}")
-
-    def _n_bands(self, total: int, unit_bytes: int) -> int:
+    def _n_bands(self, p: engine.Pass, dec, itemsize: int) -> int:
         """Fewest bands whose largest band fits the window budget (a single
         unit larger than the window degenerates to one unit per band)."""
+        r0, r1, c0, c1 = engine.chunk_rect(dec, p, 0, 1)
+        unit_bytes = (r1 - r0) * (c1 - c0) * itemsize
         per_band = max(1, self.window_bytes // unit_bytes)
-        return min(total, -(-total // per_band))
+        return min(p.extent, -(-p.extent // per_band))
 
     def _prove(self, M: int, N: int, n_bands: int, algorithm: str) -> None:
         """Gate execution on the banded race proof (memoised per shape)."""
         key = (M, N, n_bands, self.n_threads, algorithm)
         if key in _PROVEN:
             return
-        report = _racecheck_mod().check_banded_schedule(
+        report = engine.racecheck().check_banded_schedule(
             M, N, n_bands, self.n_threads, algorithm
         )
         if not report.ok:
@@ -318,96 +141,10 @@ class BandedExecutor:
             )
         _PROVEN.add(key)
 
-    # -- native kernel plumbing ----------------------------------------------
-
-    def _native_passes(self, M: int, N: int, algorithm: str, dtype) -> dict:
-        """``{pass_name: (kernel, pass_idx)}`` for every pass the compiled
-        kernel can run on a band buffer (row passes via the shifted base,
-        column/rotation passes via the banded entry points), or empty."""
-        if self.native == "off" or self._mp is not None:
-            return {}
-        if _racecheck_mod().sanitizer.enabled:
-            return {}
-        native = _native()
-        if not native.enabled() or M * N < native.min_elems():
-            return {}
-        # kernel_for_shape, NOT get_single_plan: a TransposePlan would
-        # materialise O(M*N) index-map bytes — the codegen needs only the
-        # decomposition constants.  (M, N) is already the executing view
-        # for both algorithms; codegen takes the executing dec directly.
-        kernel = native.kernel_for_shape(
-            Decomposition.of(M, N), algorithm, np.dtype(dtype).itemsize
-        )
-        if kernel is None:
-            return {}
-        return {
-            p.parallel_name: (kernel, i)
-            for i, p in enumerate(kernel.passes)
-            if p.parallel_name in _ROW_PASSES or kernel.has_banded(i)
-        }
-
     # -- band execution ------------------------------------------------------
 
-    def _run_band_threads(
-        self, name: str, B: np.ndarray, dec: Decomposition, red,
-        band: slice, nk, san,
-    ) -> None:
-        """Chunk-parallel execution of one band on the thread executor."""
-        tr = _tracer()
-        itemsize = B.itemsize
-        r0 = band.start
-
-        def work(local: slice) -> None:
-            chunk = slice(band.start + local.start, band.start + local.stop)
-            if san is not None:
-                _record_sanitizer_chunk(san, name, dec, chunk)
-            _run_band_chunk(B, dec, red, name, band.start, chunk)
-
-        if nk is not None:
-            kernel, pass_idx = nk
-            if name in _ROW_PASSES:
-                # row band: full row stride, shifted base, plain entry point
-                base = B.ctypes.data - r0 * dec.n * itemsize
-                native_call = lambda lo, hi: kernel.run_pass(
-                    pass_idx, base, lo, hi
-                )
-            else:
-                # column/rotation band: banded entry point against the
-                # band copy's own stride, anchored at the band origin
-                addr = B.ctypes.data
-                stride = B.shape[1]
-                native_call = lambda lo, hi: kernel.run_pass_banded(
-                    pass_idx, addr, lo, hi, stride, r0
-                )
-
-            def run(local: slice) -> None:
-                lo, hi = band.start + local.start, band.start + local.stop
-                try:
-                    native_call(lo, hi)
-                except MemoryError:
-                    _native().record_fallback(
-                        f"scratch allocation failed in stream pass {name}"
-                    )
-                    work(local)
-        else:
-            run = work
-
-        def body(local: slice) -> None:
-            if tr.enabled:
-                lo, hi = band.start + local.start, band.start + local.stop
-                with tr.span(
-                    "worker.chunk", stage=name, start=lo, stop=hi,
-                    backend="stream",
-                ):
-                    run(local)
-            else:
-                run(local)
-
-        self.executor.parallel_for(band.stop - band.start, body, name=name)
-
     def _run_band_mp(
-        self, name: str, window: ResidentWindow, dec: Decomposition,
-        band: slice, load, store,
+        self, plan, i: int, B_shape: tuple, band: slice, window, load, store,
     ) -> None:
         """Run one band on the process pool via a per-band shared segment.
 
@@ -416,93 +153,72 @@ class BandedExecutor:
         back — the same two staging traversals as the in-RAM mp backend,
         but sized to the band, not the matrix.
         """
+        from ..parallel.mp import _pass_chunk_task
         from ..parallel.shm import SharedArray
 
-        shape = _band_shape(name, dec, band)
-        seg = SharedArray(shape, window.dtype)
+        p = plan.passes[i]
+        dec = plan.dec
+        seg = SharedArray(B_shape, window.dtype)
         try:
             load(out=seg.array)
             tasks = [
                 (
                     slice(band.start + ch.start, band.start + ch.stop),
                     (
-                        seg.name, shape, dec.m, dec.n, window.dtype.str, name,
-                        band.start, band.start + ch.start, band.start + ch.stop,
-                        self.strength_reduced,
+                        seg.name, dec.m, dec.n, window.dtype.str, p.name,
+                        band.start + ch.start, band.start + ch.stop, True,
+                        None, B_shape, band.start,
                     ),
                 )
                 for ch in balanced_chunks(band.stop - band.start, self.n_threads)
             ]
-            self._mp.run_chunks(name, _band_chunk_task, tasks)
+            self._mp.run_chunks(p.name, _pass_chunk_task, tasks)
             store(seg.array)
         finally:
             seg.destroy()
 
-    def _run_pass(
-        self, name: str, axis: str, window: ResidentWindow,
-        dec: Decomposition, red, n_bands: int, nk,
-    ) -> int:
-        """Run one pass band-by-band; returns the number of bands run."""
-        total = dec.c if axis == "colgroups" else (
-            dec.m if axis == "rows" else dec.n
-        )
-        bands = balanced_chunks(total, n_bands)
-        tr = _tracer()
-        ev = _event_log()
-        rc = _racecheck_mod()
-        san = rc.sanitizer if rc.sanitizer.enabled else None
-        scope = (
-            san.pass_scope(
-                f"stream.{name}", dec.m * dec.n,
-                full_coverage=name not in _ROTATE_PASSES,
-            )
-            if san is not None and self._mp is None else _NULL_CM
-        )
-        with scope:
-            for bi, band in enumerate(bands):
-                self._run_one_band(
-                    name, axis, window, dec, red, band, bi, len(bands),
-                    nk, tr, ev, san,
-                )
-        return len(bands)
-
     def _run_one_band(
-        self, name, axis, window, dec, red, band, bi, nb, nk, tr, ev, san,
+        self, plan, i: int, window, band: slice, bi: int, nb: int, kernel, san,
     ) -> None:
         """Load, permute and flush a single band (spans + progress event)."""
-        if axis == "rows":
-            load = lambda out=None: window.load_rows(band.start, band.stop, out)
-            store = lambda B: window.store_rows(band.start, band.stop, B)
-            nbytes = (band.stop - band.start) * dec.n * window.dtype.itemsize
-        elif axis == "cols":
-            load = lambda out=None: window.load_cols(band.start, band.stop, out)
-            store = lambda B: window.store_cols(band.start, band.stop, B)
-            nbytes = dec.m * (band.stop - band.start) * window.dtype.itemsize
-        else:  # colgroups
-            c0, c1 = band.start * dec.b, band.stop * dec.b
+        p = plan.passes[i]
+        dec = plan.dec
+        r0, r1, c0, c1 = engine.chunk_rect(dec, p, band.start, band.stop)
+        if p.axis == "rows":
+            load = lambda out=None: window.load_rows(r0, r1, out)
+            store = lambda B: window.store_rows(r0, r1, B)
+        else:
             load = lambda out=None: window.load_cols(c0, c1, out)
             store = lambda B: window.store_cols(c0, c1, B)
-            nbytes = dec.m * (c1 - c0) * window.dtype.itemsize
-        if ev.enabled:
-            ev.emit(
+        nbytes = (r1 - r0) * (c1 - c0) * window.dtype.itemsize
+        if event_log.enabled:
+            event_log.emit(
                 "stream",
-                trace_id=tr.current_trace_id() if tr.enabled else "",
-                stage=name, band=bi, bands=nb,
+                trace_id=tracer.current_trace_id() if tracer.enabled else "",
+                stage=p.name, band=bi, bands=nb,
                 lo=band.start, hi=band.stop, bytes=nbytes,
             )
-        with tr.span(
-            "stream.band", stage=name, band=bi, bands=nb,
+        with tracer.span(
+            "stream.band", stage=p.name, band=bi, bands=nb,
             lo=band.start, hi=band.stop, bytes=2 * nbytes,
-        ) if tr.enabled else _NULL_CM:
+        ) if tracer.enabled else NULL_CM:
             if self._mp is not None:
-                self._run_band_mp(name, window, dec, band, load, store)
+                self._run_band_mp(
+                    plan, i, (r1 - r0, c1 - c0), band, window, load, store
+                )
             else:
                 B = load()
-                self._run_band_threads(name, B, dec, red, band, nk, san)
+                body = chunk_body(
+                    plan, B, i, origin=band.start, kernel=kernel,
+                    red=engine.reduced_equations(dec), san=san,
+                    backend="native" if kernel is not None else "stream",
+                )
+                self.executor.parallel_for(
+                    band.stop - band.start, body, name=p.name
+                )
                 store(B)
-        reg = _runtime_metrics().registry
-        if reg.enabled:
-            reg.inc("stream.bands")
+        if registry.enabled:
+            registry.inc("stream.bands")
 
     # -- entry point ---------------------------------------------------------
 
@@ -528,37 +244,26 @@ class BandedExecutor:
         durable and the mapping is synced best-effort before the error
         propagates — there is no silently-skipped flush.
         """
-        if order not in ("C", "F"):
-            raise ValueError(f"unknown order {order!r}")
         if algorithm not in ("auto", "c2r", "r2c"):
             raise ValueError(f"unknown algorithm {algorithm!r}")
-        if algorithm == "auto":
-            algorithm = choose_algorithm(m, n)
-        vm, vn = (m, n) if order == "C" else (n, m)
-        # Same view folding as the in-RAM entry points: C2R runs on the
-        # (vm, vn) view, R2C on the (vn, vm) view (Theorem 7).
-        M, N = (vm, vn) if algorithm == "c2r" else (vn, vm)
-        dec = Decomposition.of(M, N)
-        red = None
-        if self.strength_reduced:
-            try:
-                red = ReducedEquations(dec)
-            except ValueError:
-                red = None
-        itemsize = np.dtype(dtype).itemsize
-        passes = _racecheck_mod().pass_order(algorithm, dec.c)
-        plan = []
-        for name in passes:
-            axis, extent_attr = _racecheck_mod().PASS_AXES[name]
-            total = getattr(dec, extent_attr)
-            k = self._n_bands(total, self._unit_bytes(axis, dec, itemsize))
-            plan.append((name, axis, k))
-        for k in sorted({k for _, _, k in plan}):
+        dtype = np.dtype(dtype)
+        # The shape's cached plan: O(1), and the same entry (and compiled
+        # kernel, charged to the cache) as the in-RAM entry points.  Its
+        # dec is the executing view: (vm, vn) for C2R, (vn, vm) for R2C
+        # (Theorem 7).
+        plan = plan_cache.get_single_plan(m, n, order, algorithm, dtype)
+        algorithm = plan.algorithm
+        dec = plan.dec
+        M, N = dec.m, dec.n
+        bands = [self._n_bands(p, dec, dtype.itemsize) for p in plan.passes]
+        for k in sorted(set(bands)):
             self._prove(M, N, k, algorithm)
 
-        nks = self._native_passes(M, N, algorithm, dtype)
-        rt = _runtime_metrics()
-        tr = _tracer()
+        san = engine.active_sanitizer() if self._mp is None else None
+        kernel = None
+        if self._mp is None and san is None:
+            kernel = plan.kernel(M * N, dtype.itemsize)
+        label = "native" if kernel is not None else self.backend
         t0 = perf_counter()
         bands_run = 0
         with ResidentWindow(
@@ -567,29 +272,38 @@ class BandedExecutor:
             io_block_bytes=self.io_block_bytes,
             mode=mode,
         ) as window:
-            with tr.span(
+            with tracer.span(
                 f"op.stream.{algorithm}", m=m, n=n, order=order,
                 threads=self.n_threads, backend=self.backend,
-                window=self.window_bytes, dtype=str(np.dtype(dtype)),
-            ) if tr.enabled else _NULL_CM:
+                window=self.window_bytes, dtype=str(dtype),
+            ) if tracer.enabled else NULL_CM:
                 try:
-                    for name, axis, k in plan:
-                        bands_run += self._timed_pass(
-                            name, axis, window, dec, red, k, nks.get(name)
-                        )
+                    for i, (p, k) in enumerate(zip(plan.passes, bands)):
+                        band_list = balanced_chunks(p.extent, k)
+                        with pass_point(
+                            "stream", p, size=M * N, san=san, m=M, n=N,
+                            bands=k, backend=label,
+                            bytes=2 * M * N * dtype.itemsize,
+                        ):
+                            for bi, band in enumerate(band_list):
+                                self._run_one_band(
+                                    plan, i, window, band, bi, len(band_list),
+                                    kernel, san,
+                                )
+                        bands_run += len(band_list)
                 except BaseException:
                     # flush-or-raise: make what *was* stored durable, but
                     # never let an msync error mask the pass failure.
                     try:
                         window.flush()
                     except OSError:
-                        if rt.registry.enabled:
-                            rt.registry.inc("stream.flush_failed")
+                        if registry.enabled:
+                            registry.inc("stream.flush_failed")
                     raise
                 window.flush()
             stats = {
                 "m": m, "n": n, "order": order, "algorithm": algorithm,
-                "passes": len(plan), "bands": bands_run,
+                "passes": len(plan.passes), "bands": bands_run,
                 "window_bytes": self.window_bytes,
                 "backend": self.backend, "threads": self.n_threads,
                 "bytes_read": window.bytes_read,
@@ -597,37 +311,13 @@ class BandedExecutor:
             }
         dt = perf_counter() - t0
         stats["seconds"] = dt
-        if rt.registry.enabled:
-            rt.registry.record_call(
+        if registry.enabled:
+            registry.record_call(
                 "stream.transpose", dt,
                 nbytes=stats["bytes_read"] + stats["bytes_written"],
-                elements=len(plan) * M * N,
+                elements=len(plan.passes) * M * N,
             )
         return stats
-
-    def _timed_pass(
-        self, name, axis, window, dec, red, n_bands, nk,
-    ) -> int:
-        """Run one pass, recording ``stream.pass.<name>`` and a
-        ``pass.<name>`` span exactly like the in-RAM backends."""
-        rt = _runtime_metrics()
-        tr = _tracer()
-        bk = "native" if nk is not None else self.backend
-        if tr.enabled:
-            with tr.span(
-                f"pass.{name}", m=dec.m, n=dec.n, bands=n_bands, backend=bk,
-                bytes=2 * dec.m * dec.n * window.dtype.itemsize,
-            ) as sp:
-                out = self._run_pass(name, axis, window, dec, red, n_bands, nk)
-            if rt.registry.enabled:
-                rt.registry.observe(f"stream.pass.{name}", sp.duration_s)
-            return out
-        if rt.registry.enabled:
-            t0 = perf_counter()
-            out = self._run_pass(name, axis, window, dec, red, n_bands, nk)
-            rt.registry.observe(f"stream.pass.{name}", perf_counter() - t0)
-            return out
-        return self._run_pass(name, axis, window, dec, red, n_bands, nk)
 
     def close(self) -> None:
         if self._mp is not None:
@@ -640,49 +330,3 @@ class BandedExecutor:
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-
-def _band_shape(name: str, dec: Decomposition, band: slice) -> tuple[int, int]:
-    """RAM/segment shape of one band of pass ``name``."""
-    extent = band.stop - band.start
-    if name in _ROW_PASSES:
-        return (extent, dec.n)
-    if name in _ROTATE_PASSES:
-        return (dec.m, extent * dec.b)
-    return (dec.m, extent)
-
-
-def _record_sanitizer_chunk(san, name: str, dec: Decomposition, chunk: slice) -> None:
-    """Shadow-memory accounting for one global-coordinate chunk (the same
-    index algebra the in-RAM sanitized path records)."""
-    if name in _ROTATE_PASSES:
-        for g in range(chunk.start, chunk.stop):
-            if g % dec.m == 0:  # repro-lint: allow(raw-divmod) O(c) per-group setup, not per-element
-                continue
-            flat = (
-                np.arange(dec.m, dtype=np.int64)[:, None] * dec.n
-                + np.arange(g * dec.b, (g + 1) * dec.b, dtype=np.int64)
-            ).ravel()  # repro-lint: allow(implicit-copy) flat index array, not a view
-            san.record(reads=flat, writes=flat, where=f"group[{g}]")
-        return
-    from ..parallel import cpu
-
-    # Rebuild the raw (non-reduced) index map: the sanitizer wants plain
-    # integer algebra, and this path is opt-in debugging, not hot.
-    index_map = cpu.pass_index_map(name, dec, None)
-    if name in _ROW_PASSES:
-        i = np.arange(chunk.start, chunk.stop, dtype=np.int64)[:, None]
-        cols = np.arange(dec.n, dtype=np.int64)[None, :]
-        idx = index_map(i, cols)
-        san.record(
-            reads=i * dec.n + idx, writes=i * dec.n + cols,
-            where=f"rows[{chunk.start}:{chunk.stop}]",
-        )
-    else:
-        rows = np.arange(dec.m, dtype=np.int64)[:, None]
-        j = np.arange(chunk.start, chunk.stop, dtype=np.int64)[None, :]
-        idx = index_map(rows, j)
-        san.record(
-            reads=idx * dec.n + j, writes=rows * dec.n + j,
-            where=f"cols[{chunk.start}:{chunk.stop}]",
-        )

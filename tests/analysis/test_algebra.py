@@ -133,18 +133,17 @@ class TestOddAndPrimeShapes:
     def test_corrupted_plan_is_detected(self, m, n, monkeypatch):
         from repro.core.plan import TransposePlan
 
-        real = TransposePlan._apply_step
+        real = TransposePlan.run_chunk
 
-        def corrupted(V, kind, payload):
-            real(V, kind, payload)
+        def corrupted(self, B, *args, **kwargs):
+            real(self, B, *args, **kwargs)
             # poison one cell with a value outside the permutation domain:
-            # every plan step is a permutation, so the poison survives to
-            # the final buffer no matter how later steps shuffle it
-            V.reshape(-1)[0] = -1
+            # every pass is a permutation, so the poison survives to the
+            # final buffer no matter how later passes shuffle it
+            B.reshape(-1)[0] = -1
 
-        monkeypatch.setattr(
-            TransposePlan, "_apply_step", staticmethod(corrupted)
-        )
+        # the engine's numpy pass body is what a plan object executes
+        monkeypatch.setattr(TransposePlan, "run_chunk", corrupted)
         report = verify_shape(m, n, fastdiv=False, plan_objects=True)
         assert not report.ok
         assert all(

@@ -525,6 +525,66 @@ class TestWholeFileMemmap:
         assert vs == []
 
 
+class TestEagerIndexMap:
+    def test_equation_matrix_builder_fires_in_executor(self):
+        vs = lint(
+            "from . import equations as eq\n"
+            "maps = eq.dprime_inverse_matrix(dec)\n",
+            "core/engine.py",
+            rule="eager-index-map",
+        )
+        assert len(vs) == 1
+        assert vs[0].code == "REPRO009"
+        assert "dprime_inverse_matrix" in vs[0].message
+
+    def test_reduced_builder_and_bare_names_fire(self):
+        vs = lint(
+            """\
+            from ..core.equations import sprime_matrix
+
+
+            def run(red, dec):
+                a = red.sprime_matrix()
+                b = sprime_matrix(dec)
+                return a, b
+            """,
+            "parallel/cpu.py",
+            rule="eager-index-map",
+        )
+        assert len(vs) == 2
+
+    def test_every_executor_scope_is_covered(self):
+        for rel in ("core/plan.py", "stream/executor.py", "serve/batcher.py",
+                    "native/codegen.py"):
+            vs = lint("m = eq.sprime_matrix(dec)\n", rel, rule="eager-index-map")
+            assert len(vs) == 1, rel
+
+    def test_kernels_and_analysis_keep_the_builders(self):
+        for rel in ("core/c2r.py", "core/r2c.py", "core/steps.py",
+                    "analysis/algebra.py"):
+            vs = lint("m = eq.sprime_matrix(dec)\n", rel, rule="eager-index-map")
+            assert vs == [], rel
+
+    def test_chunk_index_evaluation_passes(self):
+        vs = lint(
+            "block = eq.sprime_v(dec, i, j)\nmat = np.asmatrix(block)\n",
+            "core/engine.py",
+            rule="eager-index-map",
+        )
+        assert vs == []
+
+    def test_annotated_lazy_builder_is_exempt(self):
+        vs = lint(
+            """\
+            def _gather_map(dec):  # repro-lint: allow(eager-index-map) lazy builder
+                return eq.sprime_matrix(dec)
+            """,
+            "core/engine.py",
+            rule="eager-index-map",
+        )
+        assert vs == []
+
+
 class TestRealTree:
     def test_repro_package_is_lint_clean(self):
         assert run_lint() == []

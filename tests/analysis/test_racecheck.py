@@ -286,9 +286,16 @@ class TestExecutionHooks:
         # second visit reads elements its own pass already overwrote.
         m, n = 12, 18  # gcd 6 > 1, so the plan starts with rotate_groups
         plan = TransposePlan(m, n, "C", "c2r")
-        kind, payload = plan._steps[0]
-        assert kind == "rotate_groups"
-        plan._steps[0] = (kind, list(payload) + list(payload[:1]))
+        assert plan.passes[0].kind == "rotate_groups"
+        run_chunk = plan.run_chunk
+
+        def revisiting(B, i, lo, hi, *args, **kwargs):
+            run_chunk(B, i, lo, hi, *args, **kwargs)
+            if plan.passes[i].kind == "rotate_groups":
+                # groups [lo, lo + 2) once more: group 1 has a nonzero shift
+                run_chunk(B, i, lo, lo + 2, *args, **kwargs)
+
+        plan.run_chunk = revisiting
         with pytest.raises(SanitizerError) as exc:
             plan.execute(np.arange(m * n, dtype=np.int64))
         assert exc.value.kind in ("read-after-clobber", "double write")

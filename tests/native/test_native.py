@@ -397,10 +397,10 @@ class TestSanitizedNative:
 
         k, m, n = 2, 12, 18
         plan = BatchedTransposePlan(m, n)
-        kind, idx = plan._steps[0]
-        bad = idx.copy()
-        bad.flat[0] = (plan.dec.m if kind == "rows3" else plan.dec.n) + 3
-        plan._steps[0] = (kind, bad)
+        # Corrupt the engine's index source: the whole-matrix numpy path
+        # gathers every tile through the plan's lazily built maps.
+        gather = next(p for p in plan.passes if p.kind != "rotate_groups")
+        plan._numpy_maps()[gather.name].flat[0] = k * m * n
         with pytest.raises(SanitizerError) as exc:
             plan.execute(np.arange(k * m * n, dtype=np.int64))
         assert exc.value.kind == "out-of-bounds read"

@@ -118,8 +118,8 @@ class TestMpExecutorFailure:
         segment (the finally path) and leave the input buffer as it was."""
         mp = mp_pt._mp
 
-        def boom(seg, dec, name, total):
-            raise PassExecutionError(name, slice(0, 1), ValueError("boom"))
+        def boom(seg, p, parent_span_id=0):
+            raise PassExecutionError(p.name, slice(0, 1), ValueError("boom"))
 
         monkeypatch.setattr(mp, "_run_pass", boom)
         buf = np.arange(6.0)
@@ -133,7 +133,10 @@ class TestMpExecutorFailure:
 class TestPlanPickle:
     """Plans cross the process boundary by identity, not by payload."""
 
-    @pytest.mark.parametrize("cls", [TransposePlan, BatchedTransposePlan])
+    @pytest.mark.parametrize(
+        "cls", [TransposePlan, BatchedTransposePlan],
+        ids=["TransposePlan", "BatchedTransposePlan"],  # one class, two names
+    )
     def test_reduce_ships_identity_not_maps(self, cls):
         plan = cls(48, 36, "C", "auto")
         blob = pickle.dumps(plan)

@@ -10,26 +10,33 @@ from time import perf_counter
 import numpy as np
 import pytest
 
+from repro import native
 from repro.core.batched import batched_transpose_inplace
 from repro.core.plan import TransposePlan
 from repro.core.transpose import transpose_inplace
-from repro.runtime import plan_cache
+from repro.runtime import metrics, plan_cache
 from repro.runtime.plan_cache import PlanCache, PlanKey
 
 
 def _key(m: int, n: int, **kw) -> PlanKey:
-    defaults = dict(
-        kind="single",
-        m=m,
-        n=n,
-        k=None,
-        order="C",
-        algorithm="c2r",
-        variant="gather",
-        dtype="float64",
-    )
+    defaults = dict(m=m, n=n, order="C", algorithm="c2r", dtype="float64")
     defaults.update(kw)
     return PlanKey(**defaults)
+
+
+def _warm(m: int, n: int, cache: PlanCache):
+    """Look up a plan and run it once on numpy, which builds its gather
+    maps and charges them to the plan's entry in ``cache``."""
+    plan = plan_cache.get_single_plan(m, n, "C", "c2r", "float64", cache=cache)
+    plan.execute(np.arange(m * n, dtype=np.float64), backend="numpy")
+    return plan
+
+
+def _map_bytes(m: int, n: int) -> int:
+    """Resident bytes of one plan's numpy gather maps."""
+    plan = TransposePlan(m, n, "C", "c2r")
+    plan.execute(np.arange(m * n, dtype=np.float64), backend="numpy")
+    return plan.scratch_bytes
 
 
 @pytest.fixture(autouse=True)
@@ -47,11 +54,12 @@ def _clean_global_cache():
 
 class TestLRUEviction:
     def test_evicts_least_recently_used_under_byte_budget(self):
-        plan = TransposePlan(24, 36)
-        budget = int(plan.scratch_bytes * 2.5)  # room for two plans, not three
+        # Plans are O(1) until a numpy execute charges their maps, so each
+        # shape is warmed; the budget has room for two maps, not three.
+        budget = int(_map_bytes(24, 36) * 2.5)
         cache = PlanCache(max_bytes=budget)
         for mm in (24, 25, 26):
-            plan_cache.get_single_plan(mm, 36, "C", "c2r", "float64", cache=cache)
+            _warm(mm, 36, cache)
         stats = cache.stats()
         assert stats["misses"] == 3
         assert stats["evictions"] >= 1
@@ -61,27 +69,30 @@ class TestLRUEviction:
         assert _key(26, 36) in cache
 
     def test_hit_refreshes_recency(self):
-        plan = TransposePlan(24, 36)
-        cache = PlanCache(max_bytes=int(plan.scratch_bytes * 2.5))
-        plan_cache.get_single_plan(24, 36, "C", "c2r", "float64", cache=cache)
-        plan_cache.get_single_plan(25, 36, "C", "c2r", "float64", cache=cache)
+        cache = PlanCache(max_bytes=int(_map_bytes(24, 36) * 2.5))
+        _warm(24, 36, cache)
+        _warm(25, 36, cache)
         plan_cache.get_single_plan(24, 36, "C", "c2r", "float64", cache=cache)  # hit
-        plan_cache.get_single_plan(26, 36, "C", "c2r", "float64", cache=cache)
+        _warm(26, 36, cache)
         # The hit moved 24x36 to the MRU end, so 25x36 was evicted instead.
         assert _key(24, 36) in cache
         assert _key(25, 36) not in cache
 
     def test_oversize_plan_is_returned_but_never_retained(self):
+        # The O(1) plan fits; its maps outgrow the whole budget on their
+        # own, so the entry is dropped (without flushing anything else)
+        # while the caller keeps a working plan.
         cache = PlanCache(max_bytes=64)
-        plan = plan_cache.get_single_plan(32, 48, "C", "c2r", "float64", cache=cache)
+        plan = _warm(32, 48, cache)
         assert plan.m == 32
         assert len(cache) == 0
+        assert cache.stats()["current_bytes"] == 0
         assert cache.stats()["oversize_rejects"] == 1
 
     def test_shrinking_budget_evicts_immediately(self):
         cache = PlanCache()
-        plan_cache.get_single_plan(24, 36, "C", "c2r", "float64", cache=cache)
-        plan_cache.get_single_plan(25, 36, "C", "c2r", "float64", cache=cache)
+        _warm(24, 36, cache)
+        _warm(25, 36, cache)
         cache.configure(max_bytes=0)
         assert len(cache) == 0
         assert cache.stats()["current_bytes"] == 0
@@ -115,11 +126,17 @@ class TestKeying:
         assert len(cache) == 4
         assert len(seen) == 4
 
-    def test_batched_keyed_by_batch_count(self):
+    def test_batch_sizes_share_one_entry(self):
+        # A batch is a leading extent of one plan: single and batched
+        # lookups of a shape, at any batch size, hit the same entry.
         cache = PlanCache()
-        plan_cache.get_batched_plan(8, 12, 4, "C", "auto", "float64", cache=cache)
-        plan_cache.get_batched_plan(8, 12, 8, "C", "auto", "float64", cache=cache)
-        assert len(cache) == 2
+        single = plan_cache.get_single_plan(8, 12, "C", "auto", "float64", cache=cache)
+        for k in (4, 8):
+            assert plan_cache.get_batched_plan(
+                8, 12, k, "C", "auto", "float64", cache=cache
+            ) is single
+        assert len(cache) == 1
+        assert cache.stats()["misses"] == 1
 
 
 class TestDifferential:
@@ -232,8 +249,7 @@ class TestConcurrency:
         assert len(cache) == 1
 
     def test_concurrent_eviction_pressure_stays_consistent(self):
-        plan = TransposePlan(24, 36)
-        cache = PlanCache(max_bytes=int(plan.scratch_bytes * 3.5))
+        cache = PlanCache(max_bytes=int(_map_bytes(24, 36) * 3.5))
         start = threading.Barrier(4)
         errors: list[Exception] = []
 
@@ -241,10 +257,7 @@ class TestConcurrency:
             try:
                 start.wait()
                 for i in range(20):
-                    mm = 24 + ((tid * 7 + i) % 10)
-                    plan_cache.get_single_plan(
-                        mm, 36, "C", "c2r", "float64", cache=cache
-                    )
+                    _warm(24 + ((tid * 7 + i) % 10), 36, cache)
             except Exception as exc:  # noqa: BLE001
                 errors.append(exc)
 
@@ -297,3 +310,80 @@ class TestAmortization:
         assert cached_t < uncached_t * 0.9, (
             f"cached {cached_t:.4f}s not faster than uncached {uncached_t:.4f}s"
         )
+
+
+#: odd, prime and composite shapes plus a lib-large-like 3:4 aspect ratio
+SPACE_LATTICE = [
+    (7, 13), (13, 7), (1, 17), (17, 1), (31, 37), (97, 89),
+    (256, 384), (384, 256), (600, 800),
+]
+#: the constant of the O(max(m, n)) auxiliary-space bound the tests pin
+SPACE_C = 8
+
+
+class TestSpaceBound:
+    """The paper's O(max(m, n)) auxiliary space, held by cached plans."""
+
+    @pytest.mark.parametrize("dtype", ["uint8", "float32"])
+    def test_cached_plans_are_o_max_mn_until_numpy_runs(self, dtype):
+        itemsize = np.dtype(dtype).itemsize
+        for m, n in SPACE_LATTICE:
+            bound = SPACE_C * max(m, n) * itemsize
+            for order in ("C", "F"):
+                single = plan_cache.get_single_plan(m, n, order, "auto", dtype)
+                batched = plan_cache.get_batched_plan(m, n, 3, order, "auto", dtype)
+                assert batched is single
+                assert single.scratch_bytes <= bound, (m, n, order)
+        assert plan_cache.stats()["current_bytes"] == 0
+
+    def test_numpy_maps_are_charged_to_the_cache(self):
+        m, n = 31, 37
+        plan = plan_cache.get_single_plan(m, n, "C", "auto", "float64")
+        transpose_inplace(np.arange(m * n, dtype=np.float64), m, n, backend="numpy")
+        # two int32 gather maps: 8 bytes per element, and all of it charged
+        assert plan.scratch_bytes == 8 * m * n
+        assert plan_cache.stats()["current_bytes"] == plan.scratch_bytes
+
+    @pytest.mark.skipif(not native.available(), reason="no C toolchain")
+    def test_native_execute_keeps_the_bound(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_NATIVE_DIR", str(tmp_path))
+        for m, n in [(7, 13), (97, 89), (256, 384), (600, 800)]:
+            buf = np.arange(m * n, dtype=np.float32)
+            expected = buf.reshape(m, n).T.copy().reshape(-1)
+            transpose_inplace(buf, m, n, backend="native")
+            np.testing.assert_array_equal(buf, expected)
+            plan = plan_cache.get_single_plan(m, n, "C", "auto", np.float32)
+            assert plan.scratch_bytes <= SPACE_C * max(m, n) * 4, (m, n)
+        artifacts = sum(p.stat().st_size for p in tmp_path.glob("*.so"))
+        assert artifacts > 0
+        assert plan_cache.stats()["current_bytes"] == artifacts
+
+
+class TestOnePlanPerShape:
+    def test_single_and_batched_calls_share_one_plan_and_kernel(
+        self, tmp_path, monkeypatch
+    ):
+        """One 256x384 uint8 shape seen as a single call and as batches of
+        2, 3 and 5 tiles: one miss, one entry and (with a toolchain) one
+        compiled kernel, charged once."""
+        monkeypatch.setenv("REPRO_NATIVE_DIR", str(tmp_path))
+        metrics.reset()
+        m, n = 256, 384
+        tile = np.arange(m * n, dtype=np.uint8)
+        expected = tile.reshape(m, n).T.copy().reshape(-1)
+        buf = tile.copy()
+        transpose_inplace(buf, m, n)
+        np.testing.assert_array_equal(buf, expected)
+        for k in (2, 3, 5):
+            batch = np.tile(tile, k)
+            batched_transpose_inplace(batch, m, n)
+            np.testing.assert_array_equal(batch, np.tile(expected, k))
+        stats = plan_cache.stats()
+        assert stats["misses"] == 1
+        assert stats["entries"] == 1
+        if native.available():
+            counters = metrics.registry.snapshot()["counters"]
+            assert counters.get("native.compile", 0) == 1
+            artifacts = list(tmp_path.glob("*.so"))
+            assert len(artifacts) == 1
+            assert stats["current_bytes"] == artifacts[0].stat().st_size

@@ -6,6 +6,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import native
+from repro.runtime import plan_cache
 from repro.stream import (
     BandedExecutor,
     BandedScheduleError,
@@ -112,6 +114,32 @@ class TestBandedTranspose:
         np.testing.assert_array_equal(
             _read(path, n, m, np.float32, "C"), A.T
         )
+
+    @pytest.mark.skipif(not native.available(), reason="no C toolchain")
+    @pytest.mark.parametrize("algorithm", ["c2r", "r2c"])
+    def test_stream_kernel_lives_under_the_plan_cache(
+        self, tmp_path, monkeypatch, algorithm
+    ):
+        """The banded kernel comes from the shape's cached plan: its .so is
+        charged to the cache and unlinked when the cache lets go of it."""
+        art_dir = tmp_path / "native"
+        monkeypatch.setenv("REPRO_NATIVE_DIR", str(art_dir))
+        plan_cache.clear()
+        m, n = 300, 500
+        A = np.arange(m * n, dtype=np.float32).reshape(m, n)
+        path = _write(tmp_path, A)
+        transpose_file_inplace(
+            path, m, n, np.float32, algorithm=algorithm,
+            window_bytes=TINY_WINDOW,
+        )
+        np.testing.assert_array_equal(_read(path, n, m, np.float32, "C"), A.T)
+        artifacts = list(art_dir.glob("*.so"))
+        assert len(artifacts) == 1
+        plan = plan_cache.get_single_plan(m, n, "C", algorithm, np.float32)
+        assert plan.scratch_bytes == 0  # no numpy maps on the streamed path
+        assert plan_cache.stats()["current_bytes"] == artifacts[0].stat().st_size
+        plan_cache.clear()
+        assert not list(art_dir.glob("*.so"))
 
     def test_mp_backend(self, tmp_path):
         m, n = 48, 60

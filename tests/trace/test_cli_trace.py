@@ -7,6 +7,7 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.runtime import plan_cache
 from repro.trace import spans
 from repro.trace.export import validate_chrome_trace
 
@@ -15,6 +16,9 @@ from repro.trace.export import validate_chrome_trace
 def _clean_global_tracer():
     was_enabled = spans.tracer.enabled
     spans.tracer.reset()
+    # the trace asserts a cold-cache miss: start from an empty plan cache
+    # (every executor resolves its plan there, so earlier tests warm it)
+    plan_cache.clear()
     yield
     spans.tracer.reset()
     spans.tracer.enabled = was_enabled
