@@ -36,8 +36,7 @@ properties that guard the repo's constant factors:
    it — the kernels must stay memory-bound, not index-bound.  Smaller
    shapes are recorded but not gated: their same-size memcpy ceiling is
    cache-resident bandwidth, which no scatter pass can match and which
-   says nothing about the kernels (the same record-don't-gate treatment
-   the mp comparison gets on small machines).  On machines without a
+   says nothing about the kernels.  On machines without a
    toolchain the native series is recorded as unavailable and the floor
    is skipped (the fallback path is gated separately by CI's no-compiler
    leg).  The native normalized times also participate in the baseline
@@ -48,8 +47,7 @@ If the baseline file is missing the regression gate is skipped gracefully
 snapshot is always written to ``BENCH_ci.json`` for the CI artifact upload,
 and every run appends one point to the committed benchmark **trajectory**
 (``benchmarks/results/BENCH_ci_trajectory.json``): composite memcpy
-fraction, per-backend ns/elem per shape, and the mp speedup — a
-machine-readable history of how the repo's constant factors move over time.
+fraction and per-backend ns/elem per shape — a machine-readable history of how the repo's constant factors move over time.
 
 Usage::
 
@@ -206,52 +204,6 @@ def measure_shape(m: int, n: int, repeats: int = REPEATS) -> dict:
     return out
 
 
-#: the mp backend's target workload: narrow dtype, where the per-element
-#: Python-side index math dominates and the GIL serializes the thread backend
-MP_SHAPE = (512, 768)
-MP_DTYPE = "uint8"
-
-
-def measure_mp_backend(repeats: int = 5) -> dict:
-    """Thread vs process backend on the GIL-bound workload (best-of).
-
-    Always measured and recorded; only *gated* (via ``--mp-floor``) when
-    the machine has >= 4 real cores — on the 1-2 core runners the staging
-    copies dominate and the comparison says nothing about the backend.
-    """
-    import os
-
-    from repro.parallel import ParallelTranspose
-
-    m, n = MP_SHAPE
-    cores = os.cpu_count() or 1
-    workers = min(4, cores)
-    proto = np.arange(m * n, dtype=MP_DTYPE)
-
-    def best(backend: str) -> float:
-        # native="off": this gate compares the *interpreter* paths — the
-        # thread backend's compiled kernels would swamp the mp comparison
-        # (they release the GIL outright, which is a different question).
-        with ParallelTranspose(workers, backend=backend, native="off") as pt:
-            return min(_timed_samples(
-                lambda: pt.transpose_inplace(proto.copy(), m, n), repeats
-            ))
-
-    threads_s = best("threads")
-    mp_s = best("mp")
-    return {
-        "m": m,
-        "n": n,
-        "dtype": MP_DTYPE,
-        "workers": workers,
-        "cores": cores,
-        "threads_s": threads_s,
-        "mp_s": mp_s,
-        "speedup": threads_s / max(mp_s, 1e-12),
-        "gated": cores >= 4,
-    }
-
-
 def composite_memcpy_fraction(results: list[dict]) -> float | None:
     """Time-weighted composite fraction across the shape set.
 
@@ -269,12 +221,12 @@ def composite_memcpy_fraction(results: list[dict]) -> float | None:
     return num / den if den > 0 else None
 
 
-def run(repeats: int, mp: bool = True) -> dict:
+def run(repeats: int) -> dict:
     metrics.reset()
     plan_cache.clear()
     plan_cache.get_plan_cache().reset_stats()
     results = [measure_shape(m, n, repeats) for m, n in SHAPES]
-    report = {
+    return {
         "schema": 2,
         "repeats": repeats,
         "native_available": _native_available(),
@@ -283,9 +235,6 @@ def run(repeats: int, mp: bool = True) -> dict:
         "plan_cache": plan_cache.stats(),
         "metrics": metrics.registry.snapshot(),
     }
-    if mp:
-        report["mp_backend"] = measure_mp_backend()
-    return report
 
 
 def gate(
@@ -396,14 +345,12 @@ def append_trajectory(report: dict, path: Path) -> dict:
     """Append one measurement point to the committed benchmark trajectory.
 
     The trajectory is a JSON list, one entry per recorded run: composite
-    memcpy fraction, per-backend ns/elem per shape, and the mp speedup.
-    CI uploads it as an artifact; maintainers commit points from reference
+    memcpy fraction and per-backend ns/elem per shape.  CI uploads it as an artifact; maintainers commit points from reference
     machines so the history stays comparable.
     """
     import datetime
     import os
 
-    mp_report = report.get("mp_backend")
     entry = {
         "date": datetime.datetime.now(datetime.timezone.utc).isoformat(
             timespec="seconds"
@@ -411,7 +358,6 @@ def append_trajectory(report: dict, path: Path) -> dict:
         "commit": os.environ.get("GITHUB_SHA"),
         "native_available": report["native_available"],
         "composite_memcpy_fraction": report["composite_memcpy_fraction"],
-        "mp_speedup": mp_report["speedup"] if mp_report else None,
         "shapes": {
             f"{r['m']}x{r['n']}": {
                 "cached_ns_per_elem": r["cached_ns_per_elem"],
@@ -441,12 +387,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--threshold", type=float, default=0.25)
     parser.add_argument("--repeats", type=int, default=REPEATS)
     parser.add_argument("--update-baseline", action="store_true")
-    parser.add_argument("--no-mp", action="store_true",
-                        help="skip the mp-vs-threads backend measurement "
-                        "(used by jobs that only need the cached-path gate)")
-    parser.add_argument("--mp-floor", type=float, default=None,
-                        help="fail unless mp/threads speedup >= this factor "
-                        "(enforced only on machines with >= 4 cores)")
     parser.add_argument("--native-floor", type=float, default=0.5,
                         help="fail unless the native best-pass memcpy "
                         "fraction of every DRAM-resident shape >= this "
@@ -458,7 +398,7 @@ def main(argv: list[str] | None = None) -> int:
                         help="skip the trajectory append (scratch runs)")
     args = parser.parse_args(argv)
 
-    report = run(args.repeats, mp=not args.no_mp)
+    report = run(args.repeats)
     Path(args.output).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     for r in report["results"]:
         native = (
@@ -472,17 +412,6 @@ def main(argv: list[str] | None = None) -> int:
             f"ns/elem  uncached {r['uncached_ns_per_elem']:7.2f}  "
             f"memcpy {r['memcpy_ns_per_elem']:6.2f}  {native}  "
             f"normalized {r['normalized']:6.3f}  hits {r['cache_hits']}"
-        )
-    mp_report = report.get("mp_backend")
-    if mp_report is not None:
-        print(
-            f"mp backend  {mp_report['m']}x{mp_report['n']} "
-            f"{mp_report['dtype']}, {mp_report['workers']} workers "
-            f"({mp_report['cores']} cores): threads "
-            f"{mp_report['threads_s'] * 1e3:.2f} ms, mp "
-            f"{mp_report['mp_s'] * 1e3:.2f} ms -> "
-            f"{mp_report['speedup']:.2f}x"
-            + ("" if mp_report["gated"] else "  [not gated: < 4 cores]")
         )
     print(f"wrote {args.output}")
     if not args.no_trajectory:
@@ -506,17 +435,6 @@ def main(argv: list[str] | None = None) -> int:
 
     native_floor = args.native_floor if args.native_floor > 0 else None
     failures = gate(report, baseline, args.threshold, native_floor)
-    if args.mp_floor is not None and mp_report is not None:
-        if not mp_report["gated"]:
-            print(
-                f"mp floor skipped: {mp_report['cores']} core(s) < 4 "
-                f"(measurement recorded, not gated)"
-            )
-        elif mp_report["speedup"] < args.mp_floor:
-            failures.append(
-                f"mp backend speedup {mp_report['speedup']:.2f}x < floor "
-                f"{args.mp_floor:.2f}x on {mp_report['cores']} cores"
-            )
     if failures:
         for msg in failures:
             print(f"FAIL: {msg}")

@@ -19,8 +19,7 @@ Reported series:
 
 ``--floor R`` fails the run when ``scaling < R * shards``.  The floor is
 enforced only when the machine has at least as many cores as shards —
-per-shard scaling is unfalsifiable on fewer cores (the same policy the
-mp bench gate uses).  Each run appends one point to the committed
+per-shard scaling is unfalsifiable on fewer cores.  Each run appends one point to the committed
 trajectory (``benchmarks/results/BENCH_sharding_trajectory.json``)
 unless ``--no-trajectory``.
 

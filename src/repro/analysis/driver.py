@@ -6,7 +6,7 @@ Assembles the analysis layers into one machine-readable report:
   (bijectivity, inversion, composition, fastdiv agreement),
 * :mod:`repro.analysis.racecheck` static schedules for each shape at a
   sweep of thread counts (partition tiling, write disjointness, coverage),
-  including the multiprocess shared-memory and banded sub-range schedules,
+  including the banded sub-range schedules,
 * :mod:`repro.analysis.lint` over the package source,
 * optionally :mod:`repro.analysis.kernelcheck` — abstract interpretation of
   the generated native kernels (``native=True``) — and the codegen
@@ -55,7 +55,6 @@ def _racecheck_sweep(
                 # dispatch heuristic, so both must be race-free everywhere.
                 for algorithm in ("c2r", "r2c"):
                     _tally(racecheck.check_schedule(m, n, threads, algorithm))
-                    _tally(racecheck.check_mp_schedule(m, n, threads, algorithm))
                     for bands in band_counts:
                         _tally(
                             racecheck.check_banded_schedule(

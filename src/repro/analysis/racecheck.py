@@ -16,10 +16,6 @@ over the same pass structure) and proves, per pass:
 * every chunk's reads stay inside its own rectangle, so no chunk can observe
   another chunk's in-flight writes.
 
-:func:`check_mp_schedule` extends the same proof to the multiprocess
-shared-memory backend by reconstructing the picklable task descriptors
-``MpTranspose._run_pass`` ships (segment name, view dims, sub-range) and
-checking descriptor consistency on top of the rectangle proof.
 :func:`check_banded_schedule` proves banded (sub-range) schedules safe for
 out-of-core execution: bands tile each pass's iteration range, per-band
 chunks tile the band, and all band x chunk write rectangles are globally
@@ -56,13 +52,10 @@ __all__ = [
     "PassFootprints",
     "RaceReport",
     "BandedRaceReport",
-    "MpTaskDescriptor",
     "schedule_footprints",
-    "mp_schedule_footprints",
     "banded_footprints",
     "check_partition",
     "check_schedule",
-    "check_mp_schedule",
     "check_banded_schedule",
     "SanitizerError",
     "Sanitizer",
@@ -261,103 +254,6 @@ def check_schedule(
         if not ok:
             report.failures.append(f"{p.name}: partition: {detail}")
         report.failures.extend(_prove_rects(p, m, n))
-    return report
-
-
-# ---------------------------------------------------------------------------
-# Multiprocess shared-memory schedules
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class MpTaskDescriptor:
-    """One worker-process task exactly as ``MpTranspose._run_pass`` ships it:
-    ``(segment, vm, vn, pass name, lo, hi)`` — the picklable fields that
-    determine which elements of the shared segment the process touches."""
-
-    segment: str
-    vm: int
-    vn: int
-    pass_name: str
-    lo: int
-    hi: int
-
-
-def mp_schedule_footprints(
-    m: int, n: int, n_workers: int, algorithm: str = "auto", *,
-    segment: str = "shm"
-) -> list[tuple[PassFootprints, tuple[MpTaskDescriptor, ...]]]:
-    """The static schedule :class:`~repro.parallel.mp.MpTranspose` would run.
-
-    Reconstructs the task descriptors ``_run_pass`` builds — one
-    ``balanced_chunks(extent, n_workers)`` sub-range per worker, all naming
-    the same shared segment and the same ``(vm, vn)`` view — alongside the
-    element footprints those descriptors induce on the segment.
-    """
-    if algorithm == "auto":
-        algorithm = choose_algorithm(m, n)
-    dec = Decomposition.of(m, n)
-    out = []
-    for p in schedule(dec, algorithm):
-        descriptors = tuple(
-            MpTaskDescriptor(segment, m, n, p.name, ch.start, ch.stop)
-            for ch in balanced_chunks(p.extent, n_workers)
-        )
-        out.append((_chunk_rects(dec, p, n_workers), descriptors))
-    return out
-
-
-def check_mp_schedule(
-    m: int, n: int, n_workers: int, algorithm: str = "auto"
-) -> RaceReport:
-    """Prove the multiprocess shared-memory schedule is race-free.
-
-    The mp backend has no shared Python state between workers — every task
-    reopens the named segment and slices it by descriptor — so the proof
-    obligations are the thread proof *plus* descriptor consistency: every
-    task in a pass must name the same segment and the same ``(vm, vn)``
-    view (a task with a stale view would reinterpret the buffer with the
-    wrong stride), and the descriptor sub-ranges must be exactly the chunk
-    intervals the footprint proof covers.  Pass barriers are inherited from
-    ``MpExecutor.run_chunks`` blocking until every task returns.
-    """
-    if algorithm == "auto":
-        algorithm = choose_algorithm(m, n)
-    report = RaceReport(m=m, n=n, n_threads=n_workers, algorithm=algorithm)
-    expected_order = [
-        p.name for p in schedule(Decomposition.of(m, n), algorithm)
-    ]
-    seen_order = []
-    for p, descriptors in mp_schedule_footprints(m, n, n_workers, algorithm):
-        report.passes += 1
-        seen_order.append(p.name)
-        ok, detail = check_partition(p.total, n_workers)
-        if not ok:
-            report.failures.append(f"{p.name}: partition: {detail}")
-        segments = {d.segment for d in descriptors}
-        views = {(d.vm, d.vn) for d in descriptors}
-        if len(segments) != 1:
-            report.failures.append(
-                f"{p.name}: tasks target {len(segments)} distinct segments"
-            )
-        if views != {(m, n)}:
-            report.failures.append(
-                f"{p.name}: task views {sorted(views)} != [({m}, {n})]"
-            )
-        if any(d.pass_name != p.name for d in descriptors):
-            report.failures.append(f"{p.name}: descriptor pass-name mismatch")
-        ranges = [(d.lo, d.hi) for d in descriptors]
-        expected = [
-            (ch.start, ch.stop) for ch in balanced_chunks(p.total, n_workers)
-        ]
-        if ranges != expected:
-            report.failures.append(
-                f"{p.name}: descriptor ranges {ranges} != chunks {expected}"
-            )
-        report.failures.extend(_prove_rects(p, m, n))
-    if seen_order != expected_order:
-        report.failures.append(
-            f"pass order {seen_order} != barrier order {expected_order}"
-        )
     return report
 
 

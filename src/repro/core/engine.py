@@ -3,9 +3,8 @@
 The decomposition (Algorithm 1 and its inverse) is a fixed sequence of two
 or three *passes*, each a parallel-for over one axis of the ``M x N``
 executing view.  Every executor — a plan on one matrix or a batch, the
-thread-parallel transposer, the process pool's child tasks and the
-out-of-core banded executor — runs that sequence through this module,
-which owns, once:
+thread-parallel transposer and the out-of-core banded executor — runs that
+sequence through this module, which owns, once:
 
 * the schedule as data (:data:`PASSES`, :data:`ORDERS`, :func:`schedule`):
   pass name -> body kind, parallel axis and extent.  The same tables give
@@ -366,8 +365,7 @@ def pass_point(prefix: str, p: Pass, *, size: int = 0, san=None, **attrs):
     ``<prefix>.pass.<label>`` timer (when metrics are on); the label is the
     body kind for the plan entry points and the pass name for the parallel
     and streamed ones.  With ``san`` the pass also runs inside the
-    sanitizer's pass scope over ``size`` elements.  Yields the span (or
-    ``None``) so process-pool tasks can parent their spans under it.
+    sanitizer's pass scope over ``size`` elements.
     """
     label = p.kind if prefix in _KIND_LABELLED else p.name
     scope = (
@@ -380,15 +378,15 @@ def pass_point(prefix: str, p: Pass, *, size: int = 0, san=None, **attrs):
     with scope:
         if tracer.enabled:
             with tracer.span(f"pass.{label}", **attrs) as sp:
-                yield sp
+                yield
             if registry.enabled:
                 registry.observe(f"{prefix}.pass.{label}", sp.duration_s)
         elif registry.enabled:
             t0 = perf_counter()
-            yield None
+            yield
             registry.observe(f"{prefix}.pass.{label}", perf_counter() - t0)
         else:
-            yield None
+            yield
 
 
 def chunk_body(
@@ -483,11 +481,6 @@ class TransposePlan:
         self.passes = schedule(self.dec, algorithm)
         self._maps: dict[str, np.ndarray] | None = None
         self._maps_lock = threading.Lock()
-
-    def __reduce__(self):
-        # Ship the identity, not any gather maps: a plan crossing a process
-        # boundary rebuilds from its key on the other side.
-        return (self.__class__, (self.m, self.n, self.order, self.algorithm))
 
     @property
     def scratch_bytes(self) -> int:

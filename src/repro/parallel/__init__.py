@@ -10,10 +10,11 @@ lengths thwart parallelization.
 * :mod:`~repro.parallel.executor` — the OpenMP-analogue thread-pool
   parallel-for (numpy releases the GIL on array copies, so threads overlap).
 * :mod:`~repro.parallel.cpu` — the parallel in-place transpose used by the
-  Table 1 / Fig. 3 benchmarks; ``backend="mp"`` selects the process pool.
-* :mod:`~repro.parallel.mp` / :mod:`~repro.parallel.shm` — the multiprocess
-  shared-memory backend: true parallel-for over pass chunks, descriptors
-  (not closures) across the process boundary (docs/PARALLEL.md).
+  Table 1 / Fig. 3 benchmarks.  Compiled chunks release the GIL for their
+  whole duration, so the threads share one address space with no staging
+  copy (docs/PARALLEL.md).
+* :mod:`~repro.parallel.shm` — named shared-memory segments for the
+  serving tier's zero-copy ingress.
 """
 
 from .cache_aware import CacheAwareParallelTranspose

@@ -42,24 +42,14 @@ class ParallelTranspose:
         Use fixed-point-reciprocal index math (on by default, as in the
         paper's CPU implementation); falls back to plain ``//``/``%`` for
         shapes outside the reduced range.
-    backend:
-        ``"threads"`` (default) runs chunks on a thread pool — real overlap
-        only while numpy's gather kernels release the GIL.  ``"mp"`` runs
-        chunks in a persistent process pool against a shared-memory copy of
-        the buffer (see :mod:`repro.parallel.mp`): true parallel-for, at
-        the cost of one staging copy in and one out.
-    start_method:
-        mp backend only — multiprocessing start method override (defaults
-        to forkserver where available; see ``REPRO_MP_START``).
     native:
         ``"auto"`` (default) runs each chunk through the compiled per-plan
         kernel of :mod:`repro.native` when one is available — the ctypes
         calls release the GIL for their whole duration, so the thread
         backend gets true pass-level parallelism instead of relying on
         numpy's partial GIL releases.  ``"off"`` keeps every chunk on the
-        numpy gathers.  The mp backend and the sanitizer always use numpy
-        (worker processes run the engine's numpy bodies; the sanitizer must
-        see every index).
+        numpy gathers.  The sanitizer always uses numpy (it must see every
+        index).
     """
 
     def __init__(
@@ -67,37 +57,19 @@ class ParallelTranspose:
         n_threads: int = 1,
         *,
         strength_reduced: bool = True,
-        backend: str = "threads",
-        start_method: str | None = None,
         native: str = "auto",
     ):
-        if backend not in ("threads", "mp"):
-            raise ValueError(f"unknown backend {backend!r}; use 'threads' or 'mp'")
         if native not in ("auto", "off"):
             raise ValueError(f"unknown native mode {native!r}; use 'auto' or 'off'")
         self.n_threads = int(n_threads)
-        self.backend = backend
         self.strength_reduced = strength_reduced
         self.native = native
-        if backend == "mp":
-            from .mp import MpTranspose
-
-            self._mp: "MpTranspose | None" = MpTranspose(
-                n_threads,
-                strength_reduced=strength_reduced,
-                start_method=start_method,
-            )
-            self.executor = None
-        else:
-            self._mp = None
-            self.executor = ParallelExecutor(n_threads)
+        self.executor = ParallelExecutor(n_threads)
 
     def _run(self, buf: np.ndarray, m: int, n: int, algorithm: str) -> np.ndarray:
         """Run ``algorithm``'s passes on the ``m x n`` view of ``buf``: one
         barrier-separated chunked parallel-for per pass of the engine's
         schedule."""
-        if self._mp is not None:
-            return self._mp.run(buf, m, n, algorithm)
         V = engine.matrix_view(buf, m, n)
         plan = engine.view_plan(m, n, algorithm, buf.dtype)
         san = engine.active_sanitizer()
@@ -158,10 +130,7 @@ class ParallelTranspose:
         return self.r2c(buf, vn, vm)
 
     def close(self) -> None:
-        if self._mp is not None:
-            self._mp.close()
-        if self.executor is not None:
-            self.executor.shutdown()
+        self.executor.shutdown()
 
     def __enter__(self) -> "ParallelTranspose":
         return self
@@ -177,11 +146,7 @@ def parallel_transpose_inplace(
     order: str = "C",
     *,
     n_threads: int = 1,
-    backend: str = "threads",
-    start_method: str | None = None,
 ) -> np.ndarray:
     """One-shot convenience wrapper around :class:`ParallelTranspose`."""
-    with ParallelTranspose(
-        n_threads, backend=backend, start_method=start_method
-    ) as pt:
+    with ParallelTranspose(n_threads) as pt:
         return pt.transpose_inplace(buf, m, n, order)

@@ -88,21 +88,6 @@ class TimerStat:
             "max_s": self.max_s,
         }
 
-    def merge_dict(self, d: dict) -> None:
-        """Fold another timer's :meth:`as_dict` summary into this one
-        (worker-process snapshots merging into the parent registry)."""
-        count = int(d.get("count", 0))
-        if count <= 0:
-            return
-        self.count += count
-        self.total_s += float(d.get("total_s", 0.0))
-        min_s = float(d.get("min_s", 0.0))
-        if min_s < self.min_s:
-            self.min_s = min_s
-        max_s = float(d.get("max_s", 0.0))
-        if max_s > self.max_s:
-            self.max_s = max_s
-
 
 #: Log-spaced latency bucket upper bounds (seconds): 3 per decade from
 #: 100 ns to 10 s.  Pass latencies span ~6 decades between a 16x16 toy
@@ -142,34 +127,6 @@ class HistogramStat:
             "count": self.count,
             "sum_s": self.sum_s,
         }
-
-    def merge_dict(self, d: dict) -> None:
-        """Fold another histogram's :meth:`as_dict` into this one.
-
-        Matching bounds (the normal case — both sides share the module
-        constants) merge bucket-exact; mismatched bounds degrade to
-        re-observing each bucket at its upper bound, which preserves count
-        and sum and bounds every sample's bucket error to one position.
-        """
-        if int(d.get("count", 0)) <= 0:
-            return
-        counts = list(d.get("counts", ()))
-        bounds = tuple(d.get("bounds", ()))
-        if bounds == self.bounds and len(counts) == len(self.counts):
-            for i, c in enumerate(counts):
-                self.counts[i] += int(c)
-            self.count += int(d["count"])
-            self.sum_s += float(d.get("sum_s", 0.0))
-            return
-        overflow_at = bounds[-1] * 2.0 if bounds else 0.0
-        for i, c in enumerate(counts):
-            c = int(c)
-            if c <= 0:
-                continue
-            value = bounds[i] if i < len(bounds) else overflow_at
-            self.counts[bisect_left(self.bounds, value)] += c
-            self.count += c
-            self.sum_s += value * c
 
 
 class _Timer:
@@ -316,43 +273,6 @@ class MetricsRegistry:
                 self._counters["elements_touched"] = (
                     self._counters.get("elements_touched", 0) + int(elements)
                 )
-
-    def merge_snapshot(self, snap: dict) -> None:
-        """Fold another registry's :meth:`snapshot` into this one.
-
-        The serving layer's process workers record into their own
-        per-process registries and ship the snapshot delta back with each
-        result; merging here is what keeps ``GET /metrics`` and ``repro
-        stats`` truthful with ``worker_mode=process``.  Counters and
-        histogram buckets add, timers fold count/total/min/max, gauges are
-        last-write-wins; the child's epoch and enabled flag are ignored.
-        """
-        if not self.enabled or not snap:
-            return
-        with self._lock:
-            for name, value in (snap.get("counters") or {}).items():
-                self._counters[name] = self._counters.get(name, 0) + int(value)
-            for name, d in (snap.get("timers") or {}).items():
-                stat = self._timers.get(name)
-                if stat is None:
-                    stat = self._timers[name] = TimerStat()
-                stat.merge_dict(d)
-            for name, d in (snap.get("histograms") or {}).items():
-                hist = self._histograms.get(name)
-                if hist is None:
-                    hist = self._histograms[name] = HistogramStat(
-                        tuple(d.get("bounds") or HISTOGRAM_BOUNDS)
-                    )
-                hist.merge_dict(d)
-            for name, d in (snap.get("value_histograms") or {}).items():
-                hist = self._value_hists.get(name)
-                if hist is None:
-                    hist = self._value_hists[name] = HistogramStat(
-                        tuple(d.get("bounds") or HISTOGRAM_BOUNDS)
-                    )
-                hist.merge_dict(d)
-            for name, value in (snap.get("gauges") or {}).items():
-                self._gauges[name] = float(value)
 
     # -- reporting -----------------------------------------------------------
 

@@ -237,7 +237,7 @@ class ShapeBatcher:
 
     # -- execution -----------------------------------------------------------
 
-    def execute_group(self, group: Group, host=None) -> int:
+    def execute_group(self, group: Group) -> int:
         """Claim, validate and execute one group; returns requests served.
 
         Expired requests fail with :class:`DeadlineExceededError`, cancelled
@@ -246,11 +246,6 @@ class ShapeBatcher:
         :func:`~repro.core.batched.validate_batch_member` error.  Raises
         only on execution failure — with every live request still
         unfulfilled and every input buffer intact, so the caller may retry.
-
-        ``host`` (a :class:`~repro.parallel.mp.ProcessWorkerHost`) routes
-        execution to a worker process over shared-memory staging instead of
-        running the kernel on this thread; the retry contract is identical
-        (inputs are only read, nothing fulfills until the kernel returned).
         """
         m, n, order, dtype_str = group.key
         dtype = np.dtype(dtype_str)
@@ -303,8 +298,7 @@ class ShapeBatcher:
         if event_log.enabled:
             event_log.emit(
                 "dispatch", trace_id=trace_id,
-                mode=("process" if host is not None
-                      else "single" if tiles == 1 else "batch"),
+                mode="single" if tiles == 1 else "batch",
                 m=m, n=n, requests=k, tiles=tiles,
             )
         if tr.enabled:
@@ -315,17 +309,7 @@ class ShapeBatcher:
             trace_ids = ()
         t0 = perf_counter()
         with ctx_cm:
-            if host is not None:
-                with tr.span(
-                    "serve.execute.process", m=m, n=n, batch=tiles,
-                    dtype=dtype_str, requests=k, trace_ids=trace_ids,
-                ) if tr.enabled else _NULL_CM as sp:
-                    self._execute_process(
-                        host, live, m, n, order, dtype,
-                        span=sp, trace_id=trace_id,
-                    )
-                reg.inc("serve.batches")
-            elif tiles == 1:
+            if tiles == 1:
                 with tr.span(
                     "serve.execute.single", m=m, n=n, dtype=dtype_str,
                     trace_ids=trace_ids,
@@ -380,61 +364,4 @@ class ShapeBatcher:
                 r.fulfill(staging[off])
             else:
                 r.fulfill(staging[off:off + r.tiles].reshape(-1))
-            off += r.tiles
-
-    @staticmethod
-    def _execute_process(
-        host, live: list[Request], m: int, n: int, order: str, dtype: np.dtype,
-        *, span=None, trace_id: str = "",
-    ) -> None:
-        """Stage the group into shared memory, run it in a worker process,
-        copy the results out and merge the worker's metrics.
-
-        When tracing, the worker receives a (trace_id, parent span id)
-        descriptor, records its own spans, and ships them back inside the
-        metrics snapshot; they are spliced into this process's ring here —
-        parented under ``span`` — before the snapshot merges.
-
-        Retry contract preserved: request buffers are only read, the
-        segment is destroyed on every path, and nothing fulfills unless
-        the worker returned success — a crash
-        (:class:`~repro.parallel.mp.WorkerCrashedError`) or kernel error
-        leaves every live request claimable with inputs intact.
-        """
-        from ..parallel.shm import SharedArray
-
-        mn = m * n
-        tiles = sum(r.tiles for r in live)
-        seg = SharedArray((tiles, mn), dtype)
-        try:
-            off = 0
-            for r in live:
-                seg.array[off:off + r.tiles] = r.buf.reshape(r.tiles, mn)
-                off += r.tiles
-            trace = (
-                (trace_id, span.span_id)
-                if span is not None and trace_id else None
-            )
-            worker_snap = host.execute(
-                seg.name, m, n, order, str(dtype), tiles, trace=trace
-            )
-            # Copy out before destroy: fulfilled views must not point into
-            # a segment whose mapping is about to be torn down.
-            out = seg.array.copy()
-        finally:
-            seg.destroy()
-        if worker_snap:
-            wire = worker_snap.pop("spans", None)
-            worker_snap.pop("pid", None)
-            metrics.registry.merge_snapshot(worker_snap)
-            if wire and span is not None:
-                spans.tracer.splice(
-                    wire, parent_id=span.span_id, trace_id=trace_id
-                )
-        off = 0
-        for r in live:
-            if r.tiles == 1:
-                r.fulfill(out[off])
-            else:
-                r.fulfill(out[off:off + r.tiles].reshape(-1))
             off += r.tiles

@@ -144,7 +144,7 @@ class Request:
         self.order = order
         self.tiles = int(tiles)
         self.deadline = deadline
-        #: distributed-tracing identity: the request's trace id (minted or
+        #: request-tracing identity: the request's trace id (minted or
         #: propagated by the HTTP front end) and the ``serve.request`` span
         #: it should parent under.  Empty/zero when tracing is off.
         self.trace_id = trace_id

@@ -260,8 +260,6 @@ class Shard:
         max_batch: int,
         max_wait_s: float,
         workers: int,
-        worker_mode: str = "thread",
-        mp_start_method: str | None = None,
     ):
         self.sid = sid
         self.queue = RequestQueue(maxsize=queue_size)
@@ -271,8 +269,6 @@ class Shard:
         self.pool = WorkerPool(
             self.batcher,
             workers,
-            mode=worker_mode,
-            start_method=mp_start_method,
             name_prefix=f"repro-serve-s{sid}-worker",
         )
         self.started = False
@@ -333,8 +329,6 @@ class ShardRouter:
         max_batch: int = 32,
         max_wait_s: float = 0.002,
         workers: int = 2,
-        worker_mode: str = "thread",
-        mp_start_method: str | None = None,
         tenant_rate: float | None = None,
         tenant_burst_s: float = 2.0,
         tenant_weights: dict[str, float] | None = None,
@@ -354,8 +348,6 @@ class ShardRouter:
                 max_batch=max_batch,
                 max_wait_s=max_wait_s,
                 workers=workers,
-                worker_mode=worker_mode,
-                mp_start_method=mp_start_method,
             )
             for sid in range(self.n_shards)
         }

@@ -2,7 +2,7 @@
 
 :func:`transpose_file_inplace` is the windowed replacement for the old
 unbounded-memmap file path: same signature and error taxonomy, plus the
-streaming knobs (``window_bytes``, ``backend``, ``n_threads``).  The
+streaming knobs (``window_bytes``, ``n_threads``).  The
 in-RAM wrapper :func:`repro.core.outofcore.transpose_file_inplace`
 delegates here, so every consumer of the old API inherits the bounded
 resident set.
@@ -38,9 +38,7 @@ def transpose_file_inplace(
     algorithm: str = "auto",
     window_bytes: int | None = None,
     io_block_bytes: int | None = None,
-    backend: str = "threads",
     n_threads: int = 1,
-    start_method: str | None = None,
 ) -> dict:
     """Transpose the ``m x n`` matrix stored in a raw binary file, in place,
     through the banded windowed executor.
@@ -56,8 +54,8 @@ def transpose_file_inplace(
     window_bytes:
         Resident byte budget per band (default ``REPRO_STREAM_WINDOW`` or
         256 MiB).
-    backend / n_threads:
-        Chunk parallelism *within* a band: ``"threads"`` or ``"mp"``.
+    n_threads:
+        Thread-parallel chunks *within* a band.
 
     Returns the executor's stats dict (passes, bands, bytes moved,
     seconds).  Raises :class:`ValueError` when the file size does not
@@ -75,10 +73,8 @@ def transpose_file_inplace(
         )
     with BandedExecutor(
         n_threads,
-        backend=backend,
         window_bytes=window_bytes,
         io_block_bytes=io_block_bytes,
-        start_method=start_method,
     ) as ex:
         return ex.transpose_file(
             path, m, n, dtype, order, algorithm=algorithm

@@ -4,10 +4,9 @@ Runs the decomposition's pass schedule against a :class:`ResidentWindow`
 instead of an in-RAM buffer.  Each pass's iteration range (rows, columns,
 or rotation column-groups) is split into sequential *bands* sized to the
 window byte budget; inside a band the usual ``n_threads`` chunk schedule
-runs — threads (:class:`~repro.parallel.executor.ParallelExecutor`) or
-processes (:class:`~repro.parallel.mp.MpExecutor` against a per-band
-shared-memory segment) — and the band is flushed before the next one
-loads.
+runs on the thread executor
+(:class:`~repro.parallel.executor.ParallelExecutor`), and the band is
+flushed before the next one loads.
 
 Safety is not asserted, it is *proven*: before anything executes, every
 band count this call will use goes through
@@ -73,47 +72,32 @@ class BandedExecutor:
     n_threads:
         Chunk parallelism *within* a band (bands themselves are strictly
         sequential — that is what bounds the resident set).
-    backend:
-        ``"threads"`` (default) or ``"mp"`` (per-band shared-memory
-        segment + persistent process pool).
     window_bytes:
         Resident byte budget per band (default ``REPRO_STREAM_WINDOW`` or
         256 MiB).
 
     Every pass runs through the compiled kernel of the shape's cached plan
-    when one is available on the thread backend (row passes via a shifted
-    base, column/rotation passes via the band-rebased entry points); the
-    mp backend and the sanitizer run the engine's numpy bodies.
+    when one is available (row passes via a shifted base, column/rotation
+    passes via the band-rebased entry points); the sanitizer runs the
+    engine's numpy bodies.
     """
 
     def __init__(
         self,
         n_threads: int = 1,
         *,
-        backend: str = "threads",
         window_bytes: int | None = None,
         io_block_bytes: int | None = None,
-        start_method: str | None = None,
     ):
-        if backend not in ("threads", "mp"):
-            raise ValueError(f"unknown backend {backend!r}; use 'threads' or 'mp'")
         if n_threads < 1:
             raise ValueError("n_threads must be >= 1")
         self.n_threads = int(n_threads)
-        self.backend = backend
         self.window_bytes = (
             default_window_bytes() if window_bytes is None
             else parse_bytes(window_bytes)
         )
         self.io_block_bytes = io_block_bytes
-        if backend == "mp":
-            from ..parallel.mp import MpExecutor
-
-            self._mp = MpExecutor(self.n_threads, start_method)
-            self.executor = None
-        else:
-            self._mp = None
-            self.executor = ParallelExecutor(self.n_threads)
+        self.executor = ParallelExecutor(self.n_threads)
 
     # -- band planning -------------------------------------------------------
 
@@ -143,40 +127,6 @@ class BandedExecutor:
 
     # -- band execution ------------------------------------------------------
 
-    def _run_band_mp(
-        self, plan, i: int, B_shape: tuple, band: slice, window, load, store,
-    ) -> None:
-        """Run one band on the process pool via a per-band shared segment.
-
-        The band stages straight into the segment (``load(out=...)``), the
-        chunk tasks permute it in place, and the segment stores straight
-        back — the same two staging traversals as the in-RAM mp backend,
-        but sized to the band, not the matrix.
-        """
-        from ..parallel.mp import _pass_chunk_task
-        from ..parallel.shm import SharedArray
-
-        p = plan.passes[i]
-        dec = plan.dec
-        seg = SharedArray(B_shape, window.dtype)
-        try:
-            load(out=seg.array)
-            tasks = [
-                (
-                    slice(band.start + ch.start, band.start + ch.stop),
-                    (
-                        seg.name, dec.m, dec.n, window.dtype.str, p.name,
-                        band.start + ch.start, band.start + ch.stop, True,
-                        None, B_shape, band.start,
-                    ),
-                )
-                for ch in balanced_chunks(band.stop - band.start, self.n_threads)
-            ]
-            self._mp.run_chunks(p.name, _pass_chunk_task, tasks)
-            store(seg.array)
-        finally:
-            seg.destroy()
-
     def _run_one_band(
         self, plan, i: int, window, band: slice, bi: int, nb: int, kernel, san,
     ) -> None:
@@ -184,12 +134,7 @@ class BandedExecutor:
         p = plan.passes[i]
         dec = plan.dec
         r0, r1, c0, c1 = engine.chunk_rect(dec, p, band.start, band.stop)
-        if p.axis == "rows":
-            load = lambda out=None: window.load_rows(r0, r1, out)
-            store = lambda B: window.store_rows(r0, r1, B)
-        else:
-            load = lambda out=None: window.load_cols(c0, c1, out)
-            store = lambda B: window.store_cols(c0, c1, B)
+        rows = p.axis == "rows"
         nbytes = (r1 - r0) * (c1 - c0) * window.dtype.itemsize
         if event_log.enabled:
             event_log.emit(
@@ -202,21 +147,17 @@ class BandedExecutor:
             "stream.band", stage=p.name, band=bi, bands=nb,
             lo=band.start, hi=band.stop, bytes=2 * nbytes,
         ) if tracer.enabled else NULL_CM:
-            if self._mp is not None:
-                self._run_band_mp(
-                    plan, i, (r1 - r0, c1 - c0), band, window, load, store
-                )
+            B = window.load_rows(r0, r1) if rows else window.load_cols(c0, c1)
+            body = chunk_body(
+                plan, B, i, origin=band.start, kernel=kernel,
+                red=engine.reduced_equations(dec), san=san,
+                backend="native" if kernel is not None else "stream",
+            )
+            self.executor.parallel_for(band.stop - band.start, body, name=p.name)
+            if rows:
+                window.store_rows(r0, r1, B)
             else:
-                B = load()
-                body = chunk_body(
-                    plan, B, i, origin=band.start, kernel=kernel,
-                    red=engine.reduced_equations(dec), san=san,
-                    backend="native" if kernel is not None else "stream",
-                )
-                self.executor.parallel_for(
-                    band.stop - band.start, body, name=p.name
-                )
-                store(B)
+                window.store_cols(c0, c1, B)
         if registry.enabled:
             registry.inc("stream.bands")
 
@@ -259,11 +200,11 @@ class BandedExecutor:
         for k in sorted(set(bands)):
             self._prove(M, N, k, algorithm)
 
-        san = engine.active_sanitizer() if self._mp is None else None
+        san = engine.active_sanitizer()
         kernel = None
-        if self._mp is None and san is None:
+        if san is None:
             kernel = plan.kernel(M * N, dtype.itemsize)
-        label = "native" if kernel is not None else self.backend
+        label = "native" if kernel is not None else "numpy"
         t0 = perf_counter()
         bands_run = 0
         with ResidentWindow(
@@ -274,7 +215,7 @@ class BandedExecutor:
         ) as window:
             with tracer.span(
                 f"op.stream.{algorithm}", m=m, n=n, order=order,
-                threads=self.n_threads, backend=self.backend,
+                threads=self.n_threads, backend=label,
                 window=self.window_bytes, dtype=str(dtype),
             ) if tracer.enabled else NULL_CM:
                 try:
@@ -305,7 +246,7 @@ class BandedExecutor:
                 "m": m, "n": n, "order": order, "algorithm": algorithm,
                 "passes": len(plan.passes), "bands": bands_run,
                 "window_bytes": self.window_bytes,
-                "backend": self.backend, "threads": self.n_threads,
+                "backend": label, "threads": self.n_threads,
                 "bytes_read": window.bytes_read,
                 "bytes_written": window.bytes_written,
             }
@@ -320,10 +261,7 @@ class BandedExecutor:
         return stats
 
     def close(self) -> None:
-        if self._mp is not None:
-            self._mp.shutdown()
-        if self.executor is not None:
-            self.executor.shutdown()
+        self.executor.shutdown()
 
     def __enter__(self) -> "BandedExecutor":
         return self

@@ -10,9 +10,9 @@ the paper's per-pass achieved-GB/s breakdown.
 ``repro.trace.spans``
     The process-wide :data:`~repro.trace.spans.tracer`: nestable spans in a
     bounded ring buffer, near-zero cost while disabled (``REPRO_TRACE=1``
-    starts it enabled, mirroring ``REPRO_SANITIZE``).  Distributed-tracing
-    primitives live here too: :class:`~repro.trace.spans.TraceContext`
-    activation, wire serialization and cross-process :meth:`splice`.
+    starts it enabled, mirroring ``REPRO_SANITIZE``).  Request tracing
+    lives here too: :class:`~repro.trace.spans.TraceContext` activation
+    carries one request's trace id across threads.
 
 ``repro.trace.events``
     The bounded structured event log (``REPRO_EVENTS=1``): trace_id-stamped

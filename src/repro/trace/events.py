@@ -15,7 +15,7 @@ kind            emitted when
 ``shard_down``  the router evicted a dead shard from the hash ring
                 (``shard``, ``resubmitted``/``failed`` backlog counts)
 ``coalesce``    the batcher formed a dispatchable same-shape group
-``dispatch``    a group entered execution (``mode``: batch/single/process)
+``dispatch``    a group entered execution (``mode``: batch/single)
 ``expired``     a queued request missed its deadline at claim time
 ``retry``       a transient group failure triggered the retry-once path
 ``group_failure`` the retry also failed; the group's requests got the error

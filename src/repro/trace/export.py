@@ -57,10 +57,10 @@ def to_chrome_trace(spans: Iterable[SpanRecord], *, pid: int | None = None) -> d
     """Render spans as a Trace Event Format document (JSON-able dict).
 
     Timestamps are microseconds relative to the earliest record, one lane
-    per (process, thread): each record carries the ``pid`` it was captured
-    in (spans spliced from worker processes keep theirs), so a distributed
-    trace shows one process group per worker with ``process_name`` /
-    ``thread_name`` metadata events labelling the lanes.  Span identity
+    per (process, thread): each record carries the ``pid`` and thread it
+    was captured on, so a served request shows its handler thread and the
+    worker threads it ran on as separate lanes, with ``process_name`` /
+    ``thread_name`` metadata events labelling them.  Span identity
     (``span_id``/``parent_id``) and the owning ``trace_id`` travel in
     ``args`` so the document round-trips through
     :func:`from_chrome_trace`.  Zero-width records export as instant
@@ -471,11 +471,11 @@ def to_tree(spans: Iterable[SpanRecord]) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Per-request (distributed) span tree
+# Per-request span tree
 # ---------------------------------------------------------------------------
 
 def filter_trace(spans: Iterable[SpanRecord], trace_id: str) -> list[SpanRecord]:
-    """Spans belonging to one request, across every process and thread.
+    """Spans belonging to one request, across every thread.
 
     A span belongs if its own ``trace_id`` matches, or if it carries the
     request in a batched group's ``trace_ids`` attribute (the batcher
@@ -490,13 +490,13 @@ def filter_trace(spans: Iterable[SpanRecord], trace_id: str) -> list[SpanRecord]
 
 
 def to_request_tree(spans: Iterable[SpanRecord], trace_id: str) -> str:
-    """Render one request's span tree across process boundaries.
+    """Render one request's span tree across thread lanes.
 
-    Unlike :func:`to_tree` (which groups by thread within one process),
-    this follows ``parent_id`` links across pid/tid lanes — a spliced
-    distributed trace reads as one tree from the HTTP ``serve.request``
-    root down into worker-process chunk spans, each line labelled with
-    the process and thread that produced it.
+    Unlike :func:`to_tree` (which groups by thread), this follows
+    ``parent_id`` links across pid/tid lanes — a served request reads as
+    one tree from the HTTP handler's ``serve.request`` root down into the
+    worker thread's group and pass spans, each line labelled with the
+    process and thread that produced it.
     """
     matched = filter_trace(spans, trace_id)
     if not matched:

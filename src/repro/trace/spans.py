@@ -48,15 +48,13 @@ Usage::
 
     tracer.event("cache.hit", m=m, n=n)   # zero-width instant event
 
-Distributed tracing (docs/TRACING.md, "Distributed tracing"): a
+Request tracing (docs/TRACING.md, "Request tracing"): a
 :class:`TraceContext` carries a request's ``trace_id`` and the span id the
 next span should parent to.  ``tracer.activate(ctx)`` installs it on the
 current thread; spans opened underneath are stamped with the trace_id, and
-the first span (empty stack) parents to ``ctx.parent_id`` — which may be a
-span id minted in *another process*.  Worker processes serialize their
-span ring (:func:`spans_to_wire`) into the result channel and the parent
-:meth:`Tracer.splice`\\ s them in, remapping span ids so cross-process id
-collisions cannot corrupt the tree.
+the first span (empty stack) parents to ``ctx.parent_id`` — a span opened
+on *another thread* (the HTTP handler's ``serve.request``), so one
+request's tree spans several thread lanes.
 """
 
 from __future__ import annotations
@@ -75,7 +73,6 @@ __all__ = [
     "tracer",
     "traced",
     "new_trace_id",
-    "spans_to_wire",
     "enable",
     "disable",
     "is_enabled",
@@ -85,20 +82,9 @@ __all__ = [
 
 DEFAULT_CAPACITY = 65536
 
-#: this process's pid, stamped on every record.  Cached because a span is
-#: opened per pass, not per element — but refreshed after fork so records
-#: from fork/forkserver children carry the *child's* pid (spawn children
-#: re-import and get a fresh value).
+#: this process's pid, stamped on every record (with the thread id it
+#: names the record's Chrome-trace lane).
 _PID = os.getpid()
-
-
-def _refresh_pid() -> None:
-    global _PID
-    _PID = os.getpid()
-
-
-if hasattr(os, "register_at_fork"):  # not on every platform
-    os.register_at_fork(after_in_child=_refresh_pid)
 
 
 def new_trace_id() -> str:
@@ -107,11 +93,10 @@ def new_trace_id() -> str:
 
 
 class TraceContext:
-    """A request identity crossing thread and process boundaries.
+    """A request identity crossing thread boundaries.
 
     ``trace_id`` names the request end to end; ``parent_id`` is the span id
-    the next root span should parent to (0 = none).  Wire form is a plain
-    tuple so it rides through pickled task descriptors unchanged.
+    the next root span should parent to (0 = none).
     """
 
     __slots__ = ("trace_id", "parent_id")
@@ -119,13 +104,6 @@ class TraceContext:
     def __init__(self, trace_id: str, parent_id: int = 0):
         self.trace_id = trace_id
         self.parent_id = int(parent_id)
-
-    def as_wire(self) -> tuple:
-        return (self.trace_id, self.parent_id)
-
-    @classmethod
-    def from_wire(cls, wire) -> "TraceContext":
-        return cls(str(wire[0]), int(wire[1]))
 
     def __repr__(self) -> str:
         return f"TraceContext({self.trace_id!r}, parent_id={self.parent_id})"
@@ -234,8 +212,7 @@ class _LiveSpan:
         if ctx is not None:
             self.trace_id = ctx.trace_id
         # A root span under an active context parents to the context's
-        # parent_id — possibly a span id from another process, resolved at
-        # splice time.
+        # parent_id — a span opened on another thread.
         if stack:
             self.parent_id = stack[-1].span_id
         elif ctx is not None:
@@ -352,43 +329,6 @@ class Tracer:
         ctx = getattr(self._local, "ctx", None)
         return ctx.trace_id if ctx is not None else ""
 
-    def splice(self, records: "list[dict]", *, parent_id: int = 0,
-               trace_id: str = "") -> int:
-        """Fold serialized foreign spans (:func:`spans_to_wire`) into this
-        ring as one coherent subtree.
-
-        Worker processes mint span ids from their own counters, so foreign
-        ids collide with local ones; every spliced record gets a fresh id
-        from this tracer, internal parent links are remapped, and records
-        whose parent is *not* in the batch (the worker's roots) parent to
-        ``parent_id``.  The foreign ``pid``/``tid`` are preserved — that is
-        what gives the Chrome export its per-process lanes.  Records
-        missing a trace id inherit ``trace_id``.  Returns the number of
-        records spliced; malformed input splices nothing.
-        """
-        if not records:
-            return 0
-        idmap: dict = {}
-        for r in records:
-            try:
-                idmap[r["span_id"]] = self._next_id()
-            except (TypeError, KeyError):
-                return 0  # malformed wire payload: drop the batch whole
-        for r in records:
-            self._append(SpanRecord(
-                idmap[r["span_id"]],
-                idmap.get(r.get("parent_id"), parent_id),
-                str(r.get("name", "")),
-                float(r.get("t0", 0.0)),
-                float(r.get("t1", 0.0)),
-                int(r.get("tid", 0)),
-                str(r.get("thread_name", "worker")),
-                dict(r.get("attrs") or {}),
-                trace_id=str(r.get("trace_id") or trace_id),
-                pid=r.get("pid"),
-            ))
-        return len(records)
-
     # -- internals -----------------------------------------------------------
 
     def _next_id(self) -> int:
@@ -440,15 +380,6 @@ tracer = Tracer(
     enabled=os.environ.get("REPRO_TRACE", "0") == "1",
     capacity=int(os.environ.get("REPRO_TRACE_CAPACITY", DEFAULT_CAPACITY)),
 )
-
-
-def spans_to_wire(records: "list[SpanRecord]") -> list[dict]:
-    """Serialize records for the cross-process result channel.
-
-    Plain dicts of scalars: picklable by every start method, no live
-    tracer state, and exactly what :meth:`Tracer.splice` consumes.
-    """
-    return [r.as_dict() for r in records]
 
 
 def traced(name: str):

@@ -16,9 +16,9 @@ class TestAnalyzeDriver:
         assert report["ok"] is True
         assert report["lattice"]["shapes"] == 64
         assert report["lattice"]["ok"] is True
-        # 64 shapes x 2 thread counts x 2 algorithms x 4 schedule kinds
-        # (thread, mp, and one banded per default band count (2, 3))
-        assert report["racecheck"]["schedules"] == 1024
+        # 64 shapes x 2 thread counts x 2 algorithms x 3 schedule kinds
+        # (thread, and one banded per default band count (2, 3))
+        assert report["racecheck"]["schedules"] == 768
         assert report["racecheck"]["ok"] is True
         assert report["racecheck"]["band_counts"] == [2, 3]
         assert report["lint"]["ok"] is True
@@ -28,8 +28,9 @@ class TestAnalyzeDriver:
     def test_band_counts_are_configurable(self):
         report = analyze(4, 4, thread_counts=(2,), band_counts=(2,),
                          run_lint=False)
-        # 16 shapes x 1 thread count x 2 algorithms x 3 schedule kinds
-        assert report["racecheck"]["schedules"] == 96
+        # 16 shapes x 1 thread count x 2 algorithms x 2 schedule kinds
+        # (thread, banded)
+        assert report["racecheck"]["schedules"] == 64
         assert report["racecheck"]["band_counts"] == [2]
 
     def test_native_section_via_kernelcheck(self):

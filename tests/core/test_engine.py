@@ -26,12 +26,6 @@ def _expected(buf: np.ndarray, order: str) -> np.ndarray:
     return np.asfortranarray(buf.reshape(M, N, order="F").T).reshape(-1, order="F")
 
 
-@pytest.fixture(scope="module")
-def mp_pt():
-    with ParallelTranspose(2, backend="mp") as pt:
-        yield pt
-
-
 @pytest.fixture(params=["native", "numpy", "sanitizer"])
 def mode(request, monkeypatch):
     """native: compiled kernels even at this small size; numpy: the kernel
@@ -49,8 +43,8 @@ def mode(request, monkeypatch):
 
 
 @pytest.mark.parametrize("order", ["C", "F"])
-@pytest.mark.parametrize("path", ["single", "batch", "threads", "banded", "mp"])
-def test_every_path_is_byte_exact(mode, path, order, tmp_path, request):
+@pytest.mark.parametrize("path", ["single", "batch", "threads", "banded"])
+def test_every_path_is_byte_exact(mode, path, order, tmp_path):
     proto = np.random.default_rng(0).standard_normal(M * N).astype(np.float32)
     expected = _expected(proto, order)
     if path == "single":
@@ -70,11 +64,8 @@ def test_every_path_is_byte_exact(mode, path, order, tmp_path, request):
         buf = np.fromfile(f, dtype=np.float32)
     else:
         buf = proto.copy()
-        if path == "threads":
-            with ParallelTranspose(2) as pt:
-                pt.transpose_inplace(buf, M, N, order)
-        else:
-            request.getfixturevalue("mp_pt").transpose_inplace(buf, M, N, order)
+        with ParallelTranspose(2) as pt:
+            pt.transpose_inplace(buf, M, N, order)
     np.testing.assert_array_equal(buf, expected)
 
 

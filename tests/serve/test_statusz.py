@@ -4,12 +4,19 @@ from __future__ import annotations
 
 import http.client
 import json
+from time import monotonic, sleep
 
 import numpy as np
 import pytest
 
 from repro.serve import ServeConfig, TransposeServer
 from repro.trace import events, spans
+from repro.trace.export import (
+    filter_trace,
+    from_chrome_trace,
+    to_chrome_trace,
+    to_request_tree,
+)
 
 
 @pytest.fixture
@@ -54,6 +61,18 @@ def _body(m, n, dtype=np.float64):
     return np.arange(m * n, dtype=dtype).tobytes()
 
 
+def _request_spans(trace_id, timeout=5.0):
+    """The recorded spans of ``trace_id`` once its ``serve.request`` root
+    has closed: the handler thread writes the reply inside that span, so
+    the client can read the response a moment before the span lands."""
+    deadline = monotonic() + timeout
+    while True:
+        recs = filter_trace(spans.tracer.snapshot(), trace_id)
+        if any(r.name == "serve.request" for r in recs) or monotonic() > deadline:
+            return recs
+        sleep(0.005)
+
+
 class TestStatusz:
     def test_reports_queue_slo_native_and_trace_health(self, server):
         _post(server, _body(8, 6), _headers(8, 6))
@@ -66,7 +85,7 @@ class TestStatusz:
         assert doc["inflight"] == 0
         assert doc["accepted"] >= 1
         assert doc["workers"]["alive"] == 1
-        assert doc["workers"]["mode"] == "thread"
+        assert "mode" not in doc["workers"]  # threads are the only kind
         slo = doc["slo"]
         assert slo["p99_objective_ms"] == 50.0
         assert slo["total_observed"] >= 1
@@ -147,7 +166,7 @@ class TestThreadModePropagation:
                 _headers(8, 6, **{"X-Repro-Trace-Id": "prop-1"}),
             )
             assert status == 200
-            recs = [r for r in spans.tracer.snapshot()
+            recs = [r for r in _request_spans("prop-1")
                     if r.trace_id == "prop-1"]
         finally:
             spans.disable()
@@ -163,6 +182,51 @@ class TestThreadModePropagation:
         assert route.parent_id == req.span_id
         assert grp.parent_id == route.span_id
         assert grp.tid != req.tid  # crossed a thread boundary
+
+    def test_trace_id_selects_one_tree_down_to_every_pass(self, server):
+        """One POST's trace id selects a single connected tree: the request
+        span, its group span and one pass span per decomposition pass, on
+        at least two thread lanes — and ``repro trace --request`` renders
+        it from the exported Chrome trace."""
+        from repro.runtime import plan_cache
+
+        spans.tracer.reset()
+        spans.enable()
+        try:
+            status, _, _ = _post(
+                server, _body(8, 6),
+                _headers(8, 6, **{"X-Repro-Trace-Id": "tree-1"}),
+            )
+            assert status == 200
+            recs = _request_spans("tree-1")
+        finally:
+            spans.disable()
+            spans.tracer.reset()
+        ids = {r.span_id for r in recs}
+        roots = [r for r in recs if r.parent_id not in ids]
+        assert [r.name for r in roots] == ["serve.request"]
+        by_id = {r.span_id: r for r in recs}
+
+        def ancestors(r):
+            while r.parent_id in by_id:
+                r = by_id[r.parent_id]
+                yield r.name
+
+        group = [r for r in recs if r.name == "serve.group"]
+        assert len(group) == 1
+        plan = plan_cache.get_single_plan(8, 6, "C", "auto", np.float64)
+        passes = [r for r in recs if r.name.startswith("pass.")]
+        assert len(passes) == len(plan.passes)
+        for p in passes:
+            assert {"serve.group", "serve.request"} <= set(ancestors(p))
+        assert len({r.thread_name for r in recs}) >= 2
+        assert len({(r.pid, r.tid) for r in recs}) >= 2
+        doc = to_chrome_trace(recs)
+        tree = to_request_tree(from_chrome_trace(doc), "tree-1")
+        lines = tree.splitlines()
+        assert lines[0].startswith(f"trace tree-1: {len(recs)} spans")
+        assert lines[1].lstrip().startswith("serve.request")
+        assert sum("pass." in ln for ln in lines) == len(plan.passes)
 
 
 class TestEventLogIntegration:

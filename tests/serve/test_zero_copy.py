@@ -154,6 +154,20 @@ class TestTransposeFileEndpoint:
         got = np.fromfile(path, dtype=np.int64).reshape(n, m)
         np.testing.assert_array_equal(got, A.T)
 
+    def test_backend_field_is_ignored(self, server, tmp_path):
+        """Bands always run on threads; a stale ``backend`` key is not read."""
+        m, n = 24, 20
+        A = np.arange(m * n, dtype=np.float32).reshape(m, n)
+        path = tmp_path / "legacy.bin"
+        A.tofile(path)
+        status, _, _ = self._post_file(server, {
+            "path": str(path), "rows": m, "cols": n, "dtype": "float32",
+            "threads": 2, "backend": "gpu",
+        })
+        assert status == 200
+        got = np.fromfile(path, dtype=np.float32).reshape(n, m)
+        np.testing.assert_array_equal(got, A.T)
+
     def test_band_progress_lands_in_event_log(self, server, tmp_path):
         m, n = 40, 30
         A = np.arange(m * n, dtype=np.float64).reshape(m, n)
@@ -197,7 +211,7 @@ class TestTransposeFileEndpoint:
         {"path": "/x", "rows": 4, "cols": 4, "dtype": "object"},  # bad dtype
         {"path": "/x", "rows": 4, "cols": 4, "order": "Q"},       # bad order
         {"path": "/x", "rows": 4, "cols": 4, "algorithm": "x"},   # bad algo
-        {"path": "/x", "rows": 4, "cols": 4, "backend": "gpu"},   # bad backend
+        {"path": "/x", "rows": 4, "cols": 4, "threads": 0},       # bad threads
         {"path": "/x", "rows": 4, "cols": 4, "window_bytes": "q"},
     ])
     def test_bad_params_400(self, server, payload):

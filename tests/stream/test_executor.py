@@ -141,17 +141,6 @@ class TestBandedTranspose:
         plan_cache.clear()
         assert not list(art_dir.glob("*.so"))
 
-    def test_mp_backend(self, tmp_path):
-        m, n = 48, 60
-        A = np.arange(m * n, dtype=np.float64).reshape(m, n)
-        path = _write(tmp_path, A)
-        with BandedExecutor(
-            2, backend="mp", window_bytes=TINY_WINDOW
-        ) as ex:
-            stats = ex.transpose_file(path, m, n, np.float64)
-        assert stats["backend"] == "mp"
-        np.testing.assert_array_equal(_read(path, n, m, np.float64, "C"), A.T)
-
 
 class TestValidationAndFailure:
     def test_bad_order_rejected(self, tmp_path):
