@@ -126,10 +126,9 @@ class ShapeBatcher:
     def drain_lanes(self) -> list[Request]:
         """Pop every request currently held in lanes, arrival order per lane.
 
-        Used by shard eviction (:mod:`repro.serve.router`): a dead shard's
-        workers will never dispatch its lanes, so the router reclaims the
-        requests and resubmits them to surviving shards — the "no request
-        loss" half of failover.
+        Used when the worker pool has died: no worker will ever dispatch
+        these lanes, so the server reclaims the requests and fails them
+        with a real error instead of leaving their clients to time out.
         """
         with self._lock:
             out = [r for lane in self._lanes.values() for r in lane]

@@ -2,12 +2,19 @@
 
 The serving layer is open-loop: clients submit work at whatever rate they
 like, so the queue — not the workers — is where overload policy lives.
-Three rules, all enforced here:
+Four rules, all enforced here:
+
+* **Per-tenant quotas.**  An optional token bucket per tenant
+  (``X-Repro-Tenant``), refilled at ``tenant_rate x weight(tenant)``
+  matrices/s, rejects over-quota traffic with a *computed* retry delay
+  (:class:`QuotaExceededError`, HTTP 429 ``kind="quota"``) before it can
+  take queue capacity.
 
 * **Admission control.**  The queue holds at most ``maxsize`` requests;
   a submit against a full queue raises :class:`QueueFullError` immediately
   (the HTTP front end maps it to ``429 Too Many Requests``) instead of
-  letting latency grow without bound.
+  letting latency grow without bound; its 429 carries a backoff computed
+  from depth and drain rate (:func:`compute_retry_after`).
 * **Deadlines.**  A request may carry a deadline (:func:`time.monotonic`
   scale).  Expired requests are never executed — the batcher fails them
   with :class:`DeadlineExceededError` at claim time, so a backed-up queue
@@ -46,6 +53,9 @@ __all__ = [
     "CANCELLED",
     "RETRY_AFTER_MIN_S",
     "RETRY_AFTER_MAX_S",
+    "QuotaExceededError",
+    "TokenBucket",
+    "TenantQuotas",
 ]
 
 #: clamp range for the computed 429 Retry-After (seconds).  The floor keeps
@@ -76,6 +86,123 @@ def compute_retry_after(
     else:
         estimate = lo + (hi - lo) * (depth / maxsize if maxsize else 1.0)
     return min(max(estimate, lo), hi)
+
+
+class QuotaExceededError(RuntimeError):
+    """Per-tenant admission reject (HTTP 429, ``kind="quota"``).
+
+    ``retry_after_s`` is the computed time until the tenant's token bucket
+    holds enough tokens for the rejected request — the honest backoff, not
+    a constant.
+    """
+
+    def __init__(self, message: str, *, tenant: str, retry_after_s: float):
+        super().__init__(message)
+        self.tenant = tenant
+        self.retry_after_s = retry_after_s
+
+
+class TokenBucket:
+    """Classic token bucket: ``rate`` tokens/s refill, ``burst`` capacity.
+
+    Not thread-safe on its own — :class:`TenantQuotas` serializes access.
+    """
+
+    __slots__ = ("rate", "burst", "tokens", "t_last")
+
+    def __init__(self, rate: float, burst: float, now: float | None = None):
+        if rate <= 0:
+            raise ValueError("token rate must be positive")
+        self.rate = float(rate)
+        self.burst = max(float(burst), 1.0)
+        self.tokens = self.burst
+        self.t_last = monotonic() if now is None else now
+
+    def take(self, cost: float, now: float | None = None) -> float:
+        """Try to spend ``cost`` tokens.  Returns 0.0 on success, else the
+        seconds until the bucket will hold ``cost`` tokens (nothing is
+        spent on failure)."""
+        ts = monotonic() if now is None else now
+        self.tokens = min(self.burst, self.tokens + (ts - self.t_last) * self.rate)
+        self.t_last = ts
+        if self.tokens >= cost:
+            self.tokens -= cost
+            return 0.0
+        return (cost - self.tokens) / self.rate
+
+
+class TenantQuotas:
+    """Weighted per-tenant token buckets with lazy creation.
+
+    ``rate`` is matrices/s for a weight-1.0 tenant; a tenant's bucket
+    refills at ``rate x weight`` (weights default to 1.0), which is the
+    weighted-admission policy: capacity shares follow configured weights,
+    and the 429 a tenant sees when over its share carries the computed
+    time until its own bucket recovers.  ``rate=None`` disables quotas.
+    """
+
+    def __init__(
+        self,
+        rate: float | None = None,
+        *,
+        burst_s: float = 2.0,
+        weights: dict[str, float] | None = None,
+    ):
+        self.rate = None if rate is None else float(rate)
+        if self.rate is not None and self.rate <= 0:
+            raise ValueError("tenant rate must be positive (or None to disable)")
+        #: burst capacity expressed in seconds of refill
+        self.burst_s = float(burst_s)
+        self.weights = dict(weights or {})
+        self._lock = threading.Lock()
+        self._buckets: dict[str, TokenBucket] = {}
+        #: lifetime admission-reject count per tenant
+        self.rejected: dict[str, int] = {}
+
+    @property
+    def enabled(self) -> bool:
+        return self.rate is not None
+
+    def weight(self, tenant: str) -> float:
+        return float(self.weights.get(tenant, 1.0))
+
+    def admit(self, tenant: str, cost: float, now: float | None = None) -> None:
+        """Spend ``cost`` tokens from ``tenant``'s bucket or raise
+        :class:`QuotaExceededError` with the computed backoff."""
+        if self.rate is None:
+            return
+        with self._lock:
+            bucket = self._buckets.get(tenant)
+            if bucket is None:
+                tenant_rate = self.rate * self.weight(tenant)
+                bucket = self._buckets[tenant] = TokenBucket(
+                    tenant_rate, tenant_rate * self.burst_s, now
+                )
+            wait = bucket.take(cost, now)
+            if wait > 0.0:
+                self.rejected[tenant] = self.rejected.get(tenant, 0) + 1
+                raise QuotaExceededError(
+                    f"tenant {tenant or '<default>'} over quota "
+                    f"({bucket.rate:.1f} matrices/s); retry in {wait:.2f}s",
+                    tenant=tenant,
+                    retry_after_s=wait,
+                )
+
+    def stats(self) -> dict:
+        with self._lock:
+            return {
+                "enabled": self.rate is not None,
+                "rate": self.rate,
+                "burst_s": self.burst_s,
+                "tenants": {
+                    t: {
+                        "rate": b.rate,
+                        "tokens": round(b.tokens, 3),
+                        "rejected": self.rejected.get(t, 0),
+                    }
+                    for t, b in self._buckets.items()
+                },
+            }
 
 
 class QueueFullError(RuntimeError):

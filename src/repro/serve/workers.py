@@ -45,14 +45,12 @@ class WorkerPool:
         n_workers: int = 2,
         *,
         poll_s: float = 0.05,
-        name_prefix: str = "repro-serve-worker",
     ):
         if n_workers < 1:
             raise ValueError("n_workers must be >= 1")
         self.batcher = batcher
         self.n_workers = int(n_workers)
         self.poll_s = float(poll_s)
-        self.name_prefix = name_prefix
         self._threads: list[threading.Thread] = []
         self._started = False
         self._lock = threading.Lock()
@@ -71,7 +69,7 @@ class WorkerPool:
             self._started = True
             for i in range(self.n_workers):
                 t = threading.Thread(
-                    target=self._run, name=f"{self.name_prefix}-{i}", daemon=True
+                    target=self._run, name=f"repro-serve-worker-{i}", daemon=True
                 )
                 self._threads.append(t)
                 t.start()
@@ -102,6 +100,12 @@ class WorkerPool:
     @property
     def alive(self) -> int:
         return sum(t.is_alive() for t in self._threads)
+
+    @property
+    def dead(self) -> bool:
+        """Started, yet no worker is alive: nothing will drain the queue."""
+        with self._lock:  # start() holds it until every thread runs
+            return self._started and self.alive == 0
 
     def __enter__(self) -> "WorkerPool":
         return self.start()

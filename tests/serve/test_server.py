@@ -4,11 +4,19 @@ from __future__ import annotations
 
 import http.client
 import json
+import threading
+import time
 
 import numpy as np
 import pytest
 
 from repro.serve import ServeConfig, TransposeServer
+from repro.serve.queue import (
+    QueueClosedError,
+    QueueFullError,
+    QuotaExceededError,
+    Request,
+)
 from repro.trace.export import validate_prometheus_text
 
 
@@ -274,6 +282,122 @@ class TestErrorMapping:
         assert compute_retry_after(
             60, 64, drain_rate=0.0
         ) > compute_retry_after(8, 64, drain_rate=0.0)
+
+
+class TestQuotas:
+    def test_over_quota_tenant_gets_429_while_another_is_admitted(self):
+        """A weight-1 tenant's bucket holds 4 tokens at 1 matrix/s: one
+        4-tile request spends it, the next is rejected with the bucket's
+        computed refill time, and a weight-4 tenant is still admitted."""
+        srv = TransposeServer(ServeConfig(
+            port=0, workers=1, max_wait_ms=0.5,
+            tenant_rate=1.0, tenant_burst_s=4.0,
+            tenant_weights={"gold": 4.0},
+        )).start()
+        try:
+            m, n, k = 3, 4, 4
+            A = np.arange(k * m * n, dtype=np.float64)
+            batch = {"X-Repro-Batch": str(k)}
+
+            def post(tenant):
+                return _post(srv, A.tobytes(), _headers(
+                    m, n, **batch, **{"X-Repro-Tenant": tenant}
+                ))
+
+            assert post("free")[0] == 200
+            status, body, headers = post("free")
+            assert status == 429
+            assert json.loads(body)["kind"] == "quota"
+            # 4 tokens short at 1 token/s: ~4 s, not a constant
+            assert 3 <= int(headers["Retry-After"]) <= 4
+            status, body, _ = post("gold")
+            assert status == 200
+            out = np.frombuffer(body, dtype=np.float64).reshape(k, n, m)
+            np.testing.assert_array_equal(
+                out, A.reshape(k, m, n).transpose(0, 2, 1)
+            )
+            status, body = _get(srv, "/statusz")
+            quotas = json.loads(body)["quotas"]
+            assert quotas["enabled"] is True
+            assert quotas["tenants"]["free"]["rejected"] == 1
+            assert quotas["tenants"]["gold"]["rejected"] == 0
+        finally:
+            summary = srv.shutdown(timeout=10)
+        assert summary["dropped"] == 0
+
+    def test_submit_taxonomy(self):
+        """Quota rejections never consume queue capacity; a full queue
+        still rejects an unthrottled tenant."""
+        srv = TransposeServer(ServeConfig(
+            port=0, workers=1, queue_size=2,
+            tenant_rate=4.0, tenant_burst_s=1.0,
+        ))  # workers not started: nothing drains
+        try:
+            def req(tiles=1):
+                return Request(np.zeros(tiles * 12), 3, 4, tiles=tiles)
+
+            assert srv.submit(req(tiles=4), tenant="t") == 1  # whole burst
+            with pytest.raises(QuotaExceededError) as ei:
+                srv.submit(req(tiles=4), tenant="t")
+            assert ei.value.retry_after_s > 0.0
+            assert srv.queue.depth == 1  # the rejected request never enqueued
+            assert srv.submit(req(), tenant="other") == 2
+            with pytest.raises(QueueFullError):
+                srv.submit(req(), tenant="other")
+        finally:
+            srv.queue.close()
+            srv._httpd.server_close()
+
+
+class TestDeadPool:
+    def test_scrape_fails_stranded_requests_and_new_posts_get_503(
+        self, monkeypatch
+    ):
+        """With every worker dead, one /healthz scrape closes the queue and
+        fails what it and the batcher lanes hold; later POSTs get 503."""
+        srv = TransposeServer(
+            ServeConfig(port=0, workers=1, request_timeout_s=20.0)
+        )
+        # every worker thread exits as soon as it starts
+        monkeypatch.setattr(srv.pool, "_run", lambda: None)
+        srv.start()
+        try:
+            t_end = time.monotonic() + 5.0
+            while srv.pool.alive and time.monotonic() < t_end:
+                time.sleep(0.01)
+            assert srv.pool.alive == 0
+
+            A = np.arange(12, dtype=np.float64)
+            queued: dict = {}
+
+            def post_and_time():
+                t0 = time.monotonic()
+                queued["status"] = _post(srv, A.tobytes(), _headers(3, 4))[0]
+                queued["elapsed"] = time.monotonic() - t0
+
+            client = threading.Thread(target=post_and_time)
+            client.start()
+            while srv.queue.depth == 0 and time.monotonic() < t_end:
+                time.sleep(0.01)
+            assert srv.queue.depth == 1
+            lane_held = Request(np.zeros(12), 3, 4)
+            srv.batcher._add(lane_held)
+
+            status, body = _get(srv, "/healthz")
+            assert status == 200
+            assert json.loads(body)["status"] == "draining"
+            client.join(timeout=10)
+            assert not client.is_alive()
+            assert queued["status"] == 503
+            assert queued["elapsed"] < 5.0  # failed fast, not timed out
+            with pytest.raises(QueueClosedError):
+                lane_held.wait(timeout=0)
+            assert srv.batcher.pending == 0
+            status, _, _ = _post(srv, A.tobytes(), _headers(3, 4))
+            assert status == 503
+        finally:
+            summary = srv.shutdown(timeout=10)
+        assert summary["dropped"] == 0
 
 
 class TestIntrospection:
