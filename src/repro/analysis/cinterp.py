@@ -21,6 +21,9 @@ What the model checks on every memory operation:
   is exempt, matching C).
 - **Leaks**: scratch allocated during a call must be freed before it
   returns.
+- **Scratch bound**: with ``scratch_limit`` set, the bytes a call holds
+  allocated at once may not exceed it (the kernels' ``O(max(m, n))``
+  auxiliary-space claim, checked on every call).
 - **Termination**: a per-call step budget bounds loop iterations, so a
   mutant that turns a loop infinite is reported instead of hanging the
   analyzer.
@@ -42,7 +45,15 @@ the Eq. 23-36 algebra.
 
 Per-call element read/write footprints are recorded for buffers created
 with ``track=True``; the kernel checker uses them to prove ``run_pass``
-chunk rectangles disjoint.
+chunk rectangles disjoint.  So is the source offset of every
+``memcpy``/``memmove`` out of such a buffer, which is where the checker
+reads the column passes' stripe geometry from.
+
+Every allocation has a modelled base address, so ``(uintptr_t)ptr`` is
+defined: a buffer's base is chosen by the caller (a 4 KiB-aligned address
+plus ``base_offset``), ``malloc`` returns 16-byte-aligned addresses as
+glibc does.  Kernels that size a stripe from the buffer address are thus
+executed at every alignment the caller asks for.
 """
 
 from __future__ import annotations
@@ -66,6 +77,9 @@ __all__ = [
 DEFAULT_BUDGET = 100_000_000
 
 _M64 = (1 << 64) - 1
+
+#: lowest modelled address (keeps NULL and small integers out of range)
+_ADDR_START = 1 << 20
 
 
 class CInterpError(Exception):
@@ -146,11 +160,15 @@ def _ival(x) -> int:
 class MemObject:
     """One allocation: a run of bytes accessed at a fixed granularity."""
 
-    __slots__ = ("tag", "nbytes", "slot_size", "cells", "freed", "track")
+    __slots__ = (
+        "tag", "nbytes", "slot_size", "cells", "freed", "track", "base"
+    )
 
-    def __init__(self, tag: str, nbytes: int, *, slot_size=None, track=False):
+    def __init__(self, tag: str, nbytes: int, *, slot_size=None, track=False,
+                 base: int = 0):
         self.tag = tag
         self.nbytes = nbytes
+        self.base = base
         self.slot_size = slot_size
         self.cells: dict[int, object] = {}
         self.freed = False
@@ -187,6 +205,11 @@ class CBuffer:
     @property
     def n_elems(self) -> int:
         return self.obj.nbytes // self.esize
+
+    @property
+    def base(self) -> int:
+        """The modelled address of element 0."""
+        return self.obj.base
 
     def ptr(self) -> Pointer:
         """A ``char *`` to the start (what the kernel entry points take)."""
@@ -274,6 +297,9 @@ def preprocess(source: str) -> tuple[list[str], dict[str, MacroDef]]:
         body = stripped[1:].lstrip()
         if body.startswith("include"):
             continue
+        if re.match(r"pragma\s+GCC\s+(push_options|pop_options|optimize)\b",
+                    body):
+            continue  # optimizer hints: no semantics to model
         if not body.startswith("define"):
             raise CParseError(f"unsupported directive {stripped.split()[0]!r}")
         rest = body[len("define"):].lstrip()
@@ -375,10 +401,13 @@ _BASE_SIZES = {
     "int64_t": 8,
     "uint64_t": 8,
     "size_t": 8,
+    "uintptr_t": 8,
     "void": 1,
 }
 
-_UNSIGNED_TYPES = {"uint8_t", "uint16_t", "uint32_t", "uint64_t", "size_t"}
+_UNSIGNED_TYPES = {
+    "uint8_t", "uint16_t", "uint32_t", "uint64_t", "size_t", "uintptr_t"
+}
 _QUALIFIERS = {"const", "static", "signed", "unsigned", "volatile", "register"}
 
 
@@ -442,8 +471,17 @@ class CInterp:
         self._budget = budget
         self._live_allocs: dict[int, MemObject] = {}
         self._alloc_seq = 0
+        self._next_addr = _ADDR_START
+        self._live_bytes = 0
+        self._call_bytes = 0
+        #: per-call ceiling on simultaneously allocated scratch bytes
+        #: (``None``: unchecked); :attr:`peak_scratch` is the high-water mark
+        self.scratch_limit: int | None = None
+        self.peak_scratch = 0
         self.reads: set[int] = set()
         self.writes: set[int] = set()
+        #: source byte offset of each copy out of a tracked buffer
+        self.copies: list[int] = []
         tokens, self.macros = preprocess(source)
         _Parser(self, tokens).parse_translation_unit()
 
@@ -452,12 +490,23 @@ class CInterp:
     def _fault(self, kind: str, message: str):
         raise CMemoryFault(kind, message)
 
+    def _place(self, nbytes: int, align: int, offset: int = 0) -> int:
+        """A fresh modelled address: ``offset`` past an ``align`` boundary,
+        clear of every earlier placement."""
+        base = -(-self._next_addr // align) * align + offset
+        self._next_addr = base + nbytes + align
+        return base
+
     def new_buffer(self, n_elems: int, *, esize: int | None = None,
                    init: str = "identity", track: bool = True,
-                   tag: str = "buffer") -> CBuffer:
+                   tag: str = "buffer", base_offset: int = 0) -> CBuffer:
+        """A caller-owned buffer whose element 0 sits ``base_offset`` bytes
+        past a 4 KiB boundary of the modelled address space."""
         if esize is None:
             esize = self.itemsize
-        obj = MemObject(tag, n_elems * esize, slot_size=esize, track=track)
+        nbytes = n_elems * esize
+        obj = MemObject(tag, nbytes, slot_size=esize, track=track,
+                        base=self._place(nbytes, 4096, base_offset))
         buf = CBuffer(obj, esize)
         if init == "identity":
             buf.fill_identity()
@@ -470,8 +519,19 @@ class CInterp:
         if nbytes < 0:
             self._fault("oob", f"malloc of negative size {nbytes}")
         self._alloc_seq += 1
-        obj = MemObject(f"malloc#{self._alloc_seq}", nbytes)
+        obj = MemObject(f"malloc#{self._alloc_seq}", nbytes,
+                        base=self._place(nbytes, 16))
         self._live_allocs[id(obj)] = obj
+        self._live_bytes += nbytes
+        held = self._live_bytes - self._call_bytes
+        if held > self.peak_scratch:
+            self.peak_scratch = held
+            if self.scratch_limit is not None and held > self.scratch_limit:
+                self._fault(
+                    "scratch-bound",
+                    f"{held} bytes of scratch held at once exceed the "
+                    f"{self.scratch_limit}-byte bound",
+                )
         return Pointer(obj, 0, 1)
 
     def _free(self, ptr) -> None:
@@ -488,6 +548,7 @@ class CInterp:
             self._fault("bad-free", f"free of non-malloc object {obj.tag}")
         obj.freed = True
         del self._live_allocs[id(obj)]
+        self._live_bytes -= obj.nbytes
 
     def _read_elem(self, ptr, idx):
         if ptr.__class__ is not Pointer:
@@ -621,6 +682,7 @@ class CInterp:
             dcells[di + k] = vals[k]
         if sobj.track:
             self.reads.update(range(si, si + count))
+            self.copies.append(soff)
         if dobj.track:
             self.writes.update(range(di, di + count))
 
@@ -653,6 +715,9 @@ class CInterp:
         self._budget = self.default_budget if budget is None else budget
         self.reads = set()
         self.writes = set()
+        self.copies = []
+        self._call_bytes = self._live_bytes
+        self.peak_scratch = 0
         before = dict(self._live_allocs)
         cargs = [a.ptr() if isinstance(a, CBuffer) else a for a in args]
         value = self._invoke(fn, cargs)
@@ -1145,7 +1210,10 @@ class _Parser:
             if size == 8:
 
                 def run(env, _g=get):
-                    return UInt(_uval(_g(env)))
+                    v = _g(env)
+                    if v.__class__ is Pointer:  # (uintptr_t)ptr
+                        return UInt(v.obj.base + v.off)
+                    return UInt(_uval(v))
 
             else:
                 mask = (1 << (8 * size)) - 1

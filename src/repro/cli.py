@@ -534,6 +534,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
             frac = max((p.memcpy_frac for p in prof.passes), default=0.0)
             print(
                 f"{prof.m}x{prof.n}: backend={prof.backend} "
+                f"addr%64={prof.addr_mod_64} "
                 f"best-pass memcpy fraction {frac:.3f}"
             )
     return 0

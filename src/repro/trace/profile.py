@@ -10,6 +10,11 @@ accounting shared with :class:`repro.core.steps.WorkCounter`), so joining
 span durations with those byte counts yields achieved GB/s directly —
 no model, no estimate, just ``bytes / seconds``.
 
+Every repeat of a shape runs on one buffer, and the profile records that
+buffer's address mod 64 (``addr_mod_64``): the native column passes peel a
+head stripe to bring later stripes onto cache lines, so a per-pass figure
+is a measurement at one alignment and names it.
+
 The memcpy normalization follows Eq. 37's convention: a same-size
 ``np.copyto`` reads and writes every element once, so its bandwidth
 (``2 * nbytes / t``) is the machine ceiling any in-place pass is measured
@@ -69,7 +74,8 @@ class ShapeProfile:
     ``backend`` records the engine that actually executed the passes
     (``"native"`` when any pass span was marked native, else ``"numpy"``) —
     a bandwidth number is meaningless without knowing which implementation
-    produced it.
+    produced it.  ``addr_mod_64`` is the profiled buffer's address modulo
+    a cache line, the other condition the figures were measured under.
     """
 
     m: int
@@ -78,6 +84,7 @@ class ShapeProfile:
     memcpy_gbps: float
     passes: tuple[PassProfile, ...]
     backend: str = "numpy"
+    addr_mod_64: int = 0
 
     def as_dict(self) -> dict:
         return {
@@ -85,6 +92,7 @@ class ShapeProfile:
             "n": self.n,
             "threads": self.threads,
             "backend": self.backend,
+            "addr_mod_64": self.addr_mod_64,
             "memcpy_gbps": self.memcpy_gbps,
             "passes": [p.as_dict() for p in self.passes],
         }
@@ -173,6 +181,7 @@ def profile_shape(
 
     dt = np.dtype(dtype)
     proto = np.arange(m * n, dtype=dt)
+    buf = np.empty_like(proto)
     memcpy_gbps = measure_memcpy_gbps(proto.nbytes)
 
     was_enabled = tracer.enabled
@@ -183,11 +192,13 @@ def profile_shape(
             native = "off" if backend == "numpy" else "auto"
             with ParallelTranspose(threads, native=native) as pt:
                 for _ in range(repeats):
-                    pt.transpose_inplace(proto.copy(), m, n)
+                    np.copyto(buf, proto)
+                    pt.transpose_inplace(buf, m, n)
         else:
             for _ in range(repeats):
+                np.copyto(buf, proto)
                 transpose_inplace(
-                    proto.copy(), m, n, algorithm=algorithm, backend=backend
+                    buf, m, n, algorithm=algorithm, backend=backend
                 )
         spans = tracer.drain()
     finally:
@@ -205,6 +216,7 @@ def profile_shape(
     return ShapeProfile(
         m, n, threads, memcpy_gbps, tuple(passes),
         "native" if ran_native else "numpy",
+        buf.ctypes.data % 64,
     )
 
 
@@ -226,17 +238,18 @@ def profile_shapes(
 
 
 def format_profile_table(profiles: Iterable[ShapeProfile]) -> str:
-    """The ``repro profile`` table: per-pass GB/s and memcpy fraction."""
+    """The ``repro profile`` table: per-pass GB/s and memcpy fraction, and
+    on each shape's ceiling row the buffer's address mod 64."""
     lines = [
         f"{'shape':>12}  {'pass':<26} {'calls':>5} {'ms':>9} "
-        f"{'GB/s':>8} {'x memcpy':>9}"
+        f"{'GB/s':>8} {'x memcpy':>9} {'addr%64':>7}"
     ]
     for prof in profiles:
         label = f"{prof.m}x{prof.n}"
         ceiling = f"(memcpy ceiling, {prof.backend})"
         lines.append(
             f"{label:>12}  {ceiling:<26} {'':>5} {'':>9} "
-            f"{prof.memcpy_gbps:8.2f} {'1.000':>9}"
+            f"{prof.memcpy_gbps:8.2f} {'1.000':>9} {prof.addr_mod_64:>7}"
         )
         for p in prof.passes:
             lines.append(

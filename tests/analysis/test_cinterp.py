@@ -309,3 +309,78 @@ class TestBuffersAndFootprints:
         with pytest.raises(CInterpError) as ei:
             it.call("f")
         assert ei.value.kind == "link"
+
+
+class TestModelledAddresses:
+    def test_uintptr_cast_reads_the_buffer_base_offset(self):
+        it = interp(
+            """\
+            int64_t mis(char *buf, int64_t k) {
+              int64_t *V = (int64_t *) buf;
+              return (int64_t)(((uintptr_t)(V + k)) & 63);
+            }
+            """
+        )
+        for off in (0, 16, 48):
+            buf = it.new_buffer(8, base_offset=off)
+            assert buf.base % 4096 == off
+            assert it.call("mis", buf, 0) == off
+            assert it.call("mis", buf, 2) == (off + 16) % 64
+
+    def test_malloc_addresses_are_16_byte_aligned_and_disjoint(self):
+        it = interp(
+            """\
+            int64_t f(int64_t n) {
+              char *a = (char *) malloc((size_t)n);
+              char *b = (char *) malloc((size_t)n);
+              int64_t gap = (int64_t)((uintptr_t)b - (uintptr_t)a);
+              int64_t bad = (int64_t)(((uintptr_t)a | (uintptr_t)b) & 15);
+              free(a);
+              free(b);
+              return bad ? -1 : gap;
+            }
+            """
+        )
+        assert it.call("f", 24) >= 24
+
+    def test_scratch_limit_faults_when_a_call_holds_too_much(self):
+        it = interp(
+            """\
+            int64_t f(int64_t n) {
+              char *a = (char *) malloc((size_t)n);
+              char *b = (char *) malloc((size_t)n);
+              free(b);
+              free(a);
+              return 0;
+            }
+            """
+        )
+        it.scratch_limit = 100
+        assert it.call("f", 50) == 0
+        assert it.peak_scratch == 100
+        with pytest.raises(CMemoryFault) as ei:
+            it.call("f", 51)
+        assert ei.value.kind == "scratch-bound"
+
+    def test_copies_out_of_tracked_buffers_are_logged(self):
+        it = interp(
+            """\
+            int64_t f(char *buf) {
+              int64_t *V = (int64_t *) buf;
+              int64_t *t = (int64_t *) malloc((size_t)2 * sizeof(int64_t));
+              memcpy(t, V + 3, (size_t)2 * sizeof(int64_t));
+              memcpy(V, t, (size_t)2 * sizeof(int64_t));
+              free(t);
+              return 0;
+            }
+            """
+        )
+        it.call("f", it.new_buffer(8))
+        assert it.copies == [24]  # only the copy out of the buffer
+
+    def test_gcc_optimizer_pragmas_are_accepted(self):
+        tokens, _ = preprocess(
+            '#pragma GCC push_options\n#pragma GCC optimize ("O2")\n'
+            "int64_t x;\n#pragma GCC pop_options\n"
+        )
+        assert tokens == ["int64_t", "x", ";"]

@@ -9,6 +9,7 @@ import re
 import pytest
 
 from repro.analysis.kernelcheck import (
+    BASE_OFFSETS,
     DEFAULT_CONFIGS,
     NativeReport,
     verify_kernel,
@@ -77,6 +78,54 @@ class TestCleanKernels:
         rep = verify_kernel(7, 13, algorithm="r2c", thread_counts=(2,))
         alg = next(c for c in rep.checks if c.name == "algebra-equivalence")
         assert "inverse" in alg.detail
+
+
+class TestAlignmentAndScratch:
+    def test_every_certificate_is_proven_at_both_base_offsets(self):
+        rep = verify_kernel(12, 18, algorithm="r2c", thread_counts=(2,))
+        assert rep.ok, [c.as_dict() for c in rep.failures]
+        names = {c.name for c in rep.checks}
+        assert BASE_OFFSETS == (0, 16)
+        for base in ("plan-composition", "algebra-equivalence", "batch-run"):
+            assert base in names and f"{base}@16" in names
+        for i, pname in enumerate(rep.passes):
+            for kind in ("exec", "semantics", "chunks-t2"):
+                assert f"pass{i}-{pname}-{kind}@16" in names
+        # both column-facing passes stripe and must be line-true
+        lines = sorted(n for n in names if "-lines" in n)
+        assert lines == [
+            "pass0-inverse_column_shuffle-lines",
+            "pass0-inverse_column_shuffle-lines@16",
+            "pass2-post_rotate-lines",
+            "pass2-post_rotate-lines@16",
+        ]
+        bound = next(c for c in rep.checks if c.name == "scratch-bound")
+        assert bound.ok and "peak" in bound.detail
+
+    def test_misaligned_stripes_fail_the_lines_certificate(self):
+        # 12x96 c2r: 96 columns span two 64-column stripes, so a head one
+        # column too wide leaves the second stripe off its cache line
+        src = source_for(12, 96, algorithm="c2r")
+        broken = src.replace("(int64_t)(d / 8);", "(int64_t)(d / 8 + 1);", 1)
+        assert broken != src
+        rep = verify_kernel(12, 96, algorithm="c2r", source=broken,
+                            thread_counts=(2,))
+        assert [c.name for c in rep.failures] == [
+            "pass2-column_shuffle-lines"
+        ]
+
+    def test_scratch_over_the_bound_faults(self):
+        src = source_for(12, 18)
+        broken = src.replace(
+            "stage = (elem_t *) malloc((size_t)M * COLBLK * sizeof(elem_t));",
+            "stage = (elem_t *) malloc((size_t)M * N * COLBLK"
+            " * sizeof(elem_t));",
+            1,
+        )
+        assert broken != src
+        rep = verify_kernel(12, 18, source=broken, thread_counts=(2,))
+        assert not rep.ok
+        assert "scratch-bound" in rep.failures[0].detail
 
 
 class TestCorruptedKernels:

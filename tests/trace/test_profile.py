@@ -158,3 +158,13 @@ class TestFormatting:
         d = prof.as_dict()
         assert d["m"] == 16 and d["n"] == 24
         assert all("gbps" in p for p in d["passes"])
+
+
+class TestAlignmentReport:
+    def test_profile_names_the_buffer_alignment(self):
+        (prof,) = profile_shapes([(32, 48)], repeats=2)
+        assert 0 <= prof.addr_mod_64 < 64
+        assert prof.as_dict()["addr_mod_64"] == prof.addr_mod_64
+        text = format_profile_table([prof])
+        assert "addr%64" in text.splitlines()[0]
+        assert text.splitlines()[1].split()[-1] == str(prof.addr_mod_64)
