@@ -80,6 +80,19 @@ class TestHarnessMechanics:
         assert [r.fault for r in rep.survivors] == ["whitespace-only"]
         assert not rep.ok
 
+    def test_perm_table_fault_is_killed_by_semantics(self):
+        # the faulty table is still an in-bounds permutation, so the kill
+        # must come from a semantic certificate, not the bounds checker
+        (fc,) = [f for f in FAULT_CLASSES
+                 if f.name == "perm-table-index-off-by-one"]
+        rep = run_mutation_harness(
+            configs=[(12, 18, "C", "r2c", 8)], fault_classes=(fc,)
+        )
+        assert rep.applied == 1 and rep.killed == 1
+        failed = rep.mutants[0].failed_checks
+        assert not any("-exec" in name for name in failed), failed
+        assert any("-semantics" in name for name in failed), failed
+
     def test_progress_callback_reports_verdicts(self):
         lines = []
         run_mutation_harness(
