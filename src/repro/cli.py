@@ -1029,8 +1029,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="target server, e.g. http://127.0.0.1:8077")
     p.add_argument("--inproc", action="store_true",
                    help="spin up an in-process server on an ephemeral port")
-    p.add_argument("--rate", type=float, default=900.0,
-                   help="offered request rate (Poisson arrivals)")
+    p.add_argument("--rate", type=float, default=None,
+                   help="offered matrices/s, Poisson arrivals (default: "
+                   "the direct-call ceiling, measured before the run)")
     p.add_argument("--duration", type=float, default=5.0, help="seconds of load")
     p.add_argument("--shapes", default="256x384",
                    help="workload mix, e.g. 256x384:0.8,128x192:0.2")
@@ -1049,7 +1050,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-batch", type=int, default=32)
     p.add_argument("--max-wait-ms", type=float, default=0.5)
     p.add_argument("--no-reference", action="store_true",
-                   help="skip the in-process ceiling/naive reference runs")
+                   help="skip the in-process reference runs (the ceiling "
+                   "still runs when --rate is not given)")
     p.add_argument("--verify-every", type=int, default=1,
                    help="byte-verify every Nth response per shape "
                    "(1 = verify all)")

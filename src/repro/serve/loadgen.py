@@ -12,7 +12,11 @@ reference points on the same shape/dtype:
 ``ceiling_rps``
     Direct ``batched_transpose_inplace`` on a resident batch — the
     hardware/kernel limit with zero serving overhead.  The acceptance
-    bar is ``achieved >= 0.6 * ceiling`` on a same-shape workload.
+    bar is ``achieved >= 0.6 * ceiling`` on a same-shape workload.  By
+    default the offered rate is this ceiling, measured before the run,
+    so the efficiency reads how much of it the server serves and not a
+    fixed offer: a fixed rate caps the efficiency at ``rate / ceiling``
+    however fast the server is.
 ``naive_rps``
     One-request-one-plan serving: every request builds a fresh
     :class:`~repro.core.plan.TransposePlan` (no cache) and executes it
@@ -359,7 +363,7 @@ def _percentiles(latencies: list[float]) -> dict:
 def run_loadtest(
     url: str,
     *,
-    rate: float = 900.0,
+    rate: float | None = None,
     duration_s: float = 5.0,
     shapes: list[ShapeMix] | None = None,
     dtype: str = "uint8",
@@ -377,7 +381,9 @@ def run_loadtest(
     ``rate`` is offered *matrices* per second, so it compares directly
     against the per-matrix ceiling; each HTTP request carries ``tiles``
     same-shape matrices (``X-Repro-Batch`` client-side micro-batching),
-    i.e. requests arrive at ``rate / tiles`` per second.
+    i.e. requests arrive at ``rate / tiles`` per second.  ``None`` offers
+    the ceiling of the first shape, measured (and reported) before the
+    run whatever ``reference`` says.
 
     ``verify_every`` samples responses for byte-exact verification: every
     Nth 200 per shape is compared against the precomputed transpose,
@@ -385,7 +391,7 @@ def run_loadtest(
     only the coalesced batched path triggers) is caught.  The default of
     1 verifies every response.
 
-    ``reference=True`` also measures the three in-process reference rates
+    ``reference=True`` also measures the in-process reference rates
     (ceiling / coalesced / naive) for the *first* shape of the mix — skip
     it for pure traffic generation.
 
@@ -404,6 +410,11 @@ def run_loadtest(
         raise ValueError(f"tiles must be >= 1, got {tiles}")
     parts = urlsplit(url if "//" in url else f"//{url}")
     host, port = parts.hostname or "127.0.0.1", parts.port or 80
+    ceiling = 0.0
+    if rate is None or reference:
+        ceiling = measure_ceiling_rps(mix[0].m, mix[0].n, dtype, batch=batch)
+    if rate is None:
+        rate = ceiling
     rng = np.random.default_rng(seed)
     arrivals = poisson_arrivals(rate / tiles, duration_s, rng)
     weights = np.array([s.weight for s in mix])
@@ -498,10 +509,10 @@ def run_loadtest(
             }
             if ctx.worst[1] else {}
         ),
+        ceiling_rps=ceiling,
     )
     if reference:
         s0 = mix[0]
-        report.ceiling_rps = measure_ceiling_rps(s0.m, s0.n, dtype, batch=batch)
         report.coalesced_rps = measure_coalesced_rps(
             s0.m, s0.n, dtype, batch=batch
         )

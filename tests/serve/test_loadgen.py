@@ -149,6 +149,41 @@ class TestRunLoadtest:
         assert report.tiles == 2
         assert report.latencies_ms["p99"] >= report.latencies_ms["p50"] > 0
 
+    def test_default_rate_is_the_ceiling(self, monkeypatch):
+        # A fixed offer caps efficiency at rate / ceiling, so a faster
+        # kernel would read as a less efficient server; the default offer
+        # is the ceiling, measured once before the run and reported.
+        from repro.serve import loadgen
+
+        seen = []
+
+        def ceiling(m, n, dtype="float64", *, batch=32, seconds=0.5):
+            seen.append((m, n, dtype, batch))
+            return 160.0
+
+        monkeypatch.setattr(loadgen, "measure_ceiling_rps", ceiling)
+        srv = TransposeServer(
+            ServeConfig(port=0, workers=1, queue_size=256, max_wait_ms=0.5)
+        ).start()
+        try:
+            host, port = srv.address
+            report = run_loadtest(
+                f"{host}:{port}",
+                duration_s=0.3,
+                shapes=[ShapeMix(16, 12, 1.0)],
+                dtype="float64",
+                tiles=1,
+                connections=2,
+                batch=8,
+                reference=False,
+            )
+        finally:
+            srv.shutdown(timeout=10)
+        assert seen == [(16, 12, "float64", 8)]
+        assert report.offered_rate == 160.0
+        assert report.ceiling_rps == 160.0
+        assert report.completed > 0 and report.errors == 0
+
     def test_verify_sampling_every_nth(self):
         srv = TransposeServer(
             ServeConfig(port=0, workers=1, queue_size=256, max_wait_ms=0.5)
