@@ -575,8 +575,8 @@ def _verify_entry_points(checks, interp, plan, spec, dec, itemsize, off, sfx,
                     origin, unit,
                 )
 
-        # reference semantics: the engine's numpy pass body, evaluated
-        # from the plain (not strength-reduced) equations
+        # reference semantics: the engine's numpy pass body, with index
+        # blocks from its O(max(m, n)) tables
         expected = state.copy()
         plan.run_chunk(expected.reshape(dec.m, dec.n), i, 0, pinfo.extent)
 

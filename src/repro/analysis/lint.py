@@ -61,9 +61,8 @@ or explicitly defends against:
     builder (any ``*_matrix`` function of :mod:`repro.core.equations` or
     :class:`~repro.strength.reduced.ReducedEquations`) is banned: it
     allocates ``O(mn)`` index state, against the paper's ``O(max(m, n))``
-    auxiliary-space bound.  Executors evaluate each chunk's index block
-    instead; the engine's one lazy numpy-map builder carries the only
-    suppression.
+    auxiliary-space bound.  Executors build each sub-band's index block
+    from ``O(max(m, n))`` tables instead, and none carries a suppression.
 
 Suppressions
 ------------
@@ -361,7 +360,7 @@ class _Analyzer(ast.NodeVisitor):
             self._emit(
                 "eager-index-map", node,
                 f"{callee}() builds an O(mn) index map in an executor; "
-                "evaluate the chunk's index block from the equations",
+                "build each sub-band's index block from O(max(m, n)) tables",
             )
         if isinstance(func, ast.Attribute):
             # trace-granularity: recording from a doubly-nested loop means

@@ -10,8 +10,9 @@ sequence through this module, which owns, once:
   pass name -> body kind, parallel axis and extent.  The same tables give
   the rectangles :mod:`repro.analysis.racecheck` proves disjoint and
   covering and the pass layout :mod:`repro.native.codegen` emits;
-* one numpy chunk body per pass kind (:func:`numpy_chunk`), in global
-  coordinates against a buffer that may hold only a band of the view;
+* the one numpy chunk body (:func:`numpy_chunk`), in global coordinates
+  against a buffer that may hold only a band of the view, walking any
+  chunk in sub-bands of at most :data:`L` rows or columns;
 * one shadow-memory footprint recorder for the sanitizer (:func:`_record`);
 * native dispatch (:func:`native_chunk`): full-width, shifted-base row
   bands, band-rebased column entry points and batched tiles, each with a
@@ -20,11 +21,10 @@ sequence through this module, which owns, once:
 
 :class:`TransposePlan` is the engine bound to one decomposition.  Its state
 is ``O(1)``: a compiled kernel needs only the decomposition constants, and
-the chunked executors evaluate each chunk's index block from the equations
-(``O(chunk)`` scratch).  Only the plan's own whole-matrix numpy path keeps
-``int32`` gather maps — built on its first numpy execute and charged to the
-plan cache — because computing them per call would double the cost of a
-numpy transpose.  A plan that only ever runs native holds no maps.
+the numpy body builds each sub-band's index block from ``O(max(m, n))``
+tables made once per chunk (:func:`index_tables`, :func:`index_block`).
+Every path, native or numpy, so keeps the paper's ``O(max(m, n))``
+auxiliary-space bound, and no plan caches index state.
 
 The lazily bound subsystems (:func:`native`, :func:`racecheck`) live here
 and nowhere else; they are bound on first use so importing the core
@@ -34,16 +34,13 @@ package never drags in the compiler or the analysis layer.
 from __future__ import annotations
 
 import importlib
-import threading
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
-from functools import lru_cache
 from time import perf_counter
 
 import numpy as np
 
 from ..runtime.metrics import registry
-from ..strength.reduced import ReducedEquations
 from ..trace.spans import tracer
 from . import equations as eq
 from .indexing import Decomposition
@@ -56,12 +53,13 @@ __all__ = [
     "schedule",
     "pass_of",
     "chunk_rect",
+    "L",
+    "index_tables",
     "index_block",
     "numpy_chunk",
     "native_chunk",
     "pass_point",
     "chunk_body",
-    "reduced_equations",
     "matrix_view",
     "view_plan",
     "native",
@@ -190,79 +188,92 @@ def chunk_rect(dec: Decomposition, p: Pass, lo: int, hi: int):
 
 # -- numpy bodies ----------------------------------------------------------------
 
+#: the most rows, columns or in-group columns one numpy sub-band covers: a
+#: chunk's index blocks and gather temporaries are ``O(L * max(m, n))``
+#: elements whatever its extent
+L = 64
 
-@lru_cache(maxsize=64)
-def reduced_equations(dec: Decomposition) -> ReducedEquations | None:
-    """Strength-reduced equations for ``dec``, or ``None`` outside their
-    exact range (the plain ``//``/``%`` forms then apply)."""
-    try:
-        return ReducedEquations(dec)
-    except ValueError:
-        return None
+
+def index_tables(dec: Decomposition, p: Pass) -> tuple[np.ndarray, ...]:
+    """The ``O(max(m, n))`` tables every index block of pass ``p`` is
+    built from, once per chunk.
+
+    Row passes take the tables of Eq. 24
+    (:func:`~repro.core.equations.dprime_tables`); rotations take each
+    column's group ``j // b`` (Eqs. 23 and 36).  Column passes take the
+    static row permutation ``q`` (Eq. 33), or ``q^{-1}`` (Eq. 34) for the
+    inverse shuffle, and ``j mod m``: the column shuffle is the column
+    rotation ``p_j`` (Eq. 32) composed with ``q``.
+    """
+    if p.axis == "rows":
+        return eq.dprime_tables(dec)
+    if p.axis == "groups":
+        return (eq.rotate_r_v(dec, 0, np.arange(dec.n, dtype=np.int64)),)
+    i = np.arange(dec.m, dtype=np.int64)
+    if p.name == "column_shuffle":
+        q = eq.permute_q_v(dec, i)
+    else:
+        q = eq.permute_q_inverse_v(dec, i)
+    return q, eq.rotate_p_v(dec, 0, np.arange(dec.n, dtype=np.int64))
+
+
+def _wrap(x: np.ndarray, n: int) -> np.ndarray:
+    """``x mod n``, in place, for ``int64`` ``x`` in ``[0, 2n)``: below
+    ``n``, ``x - n`` wraps to a huge unsigned value, so the unsigned
+    minimum keeps ``x``; from ``n`` on it takes ``x - n``.  Branch-free,
+    unlike a masked subtraction."""
+    u = x.view(np.uint64)
+    np.minimum(u, u - np.uint64(n), out=u)
+    return x
 
 
 def index_block(
-    dec: Decomposition, p: Pass, lo: int, hi: int,
-    red: ReducedEquations | None = None,
+    dec: Decomposition, p: Pass, tables: tuple[np.ndarray, ...], lo: int, hi: int,
 ) -> np.ndarray:
-    """Gather indices of pass ``p`` for iterations ``[lo, hi)``, from the
-    equations (Eqs. 24/26/31 and the fused inverse column shuffle).
+    """Index block of pass ``p`` for rows or columns ``[lo, hi)``, from its
+    :func:`index_tables` by adds, unsigned minima and table gathers alone.
 
-    Row passes return a ``(hi - lo, n)`` block of source columns, column
-    passes an ``(m, hi - lo)`` block of source rows — ``O(chunk)`` scratch.
-    ``red`` selects the strength-reduced forms where one exists.
+    Row passes return the ``(hi - lo, n)`` block of ``d'_i(j)`` (Eq. 24):
+    the R2C row shuffle gathers through it, the C2R row shuffle scatters
+    through it (the scatter form of Eq. 31's gather).  Column passes and
+    rotations return the ``(m, hi - lo)`` block of source rows:
+    ``(q(i) + j) mod m`` (Eq. 26), ``q^{-1}((i - j) mod m)`` for the fused
+    inverse, ``(i + j // b) mod m`` and ``(i - j // b) mod m`` for the pre-
+    and post-rotation (Eqs. 23 and 36).
     """
+    m = dec.m
     if p.axis == "rows":
-        i = np.arange(lo, hi, dtype=np.int64)[:, None]
-        j = np.arange(dec.n, dtype=np.int64)[None, :]
-    else:
-        i = np.arange(dec.m, dtype=np.int64)[:, None]
-        j = np.arange(lo, hi, dtype=np.int64)[None, :]
-    if p.name == "row_shuffle":
-        return red.dprime_inverse(i, j) if red else eq.dprime_inverse_v(dec, i, j)
-    if p.name == "row_shuffle_r2c":
-        return red.dprime(i, j) if red else eq.dprime_v(dec, i, j)
+        u, w = tables
+        r = u[np.arange(lo, hi, dtype=np.int64)[:, None] + np.arange(dec.c)]
+        d = np.repeat(r, dec.b, axis=1)
+        d += w
+        return _wrap(d, dec.n)
+    i = np.arange(m, dtype=np.int64)[:, None]
+    if p.name == "pre_rotate":  # Eq. 23: (i + j // b) mod m
+        return _wrap(i + tables[0][lo:hi], m)
+    if p.name == "post_rotate":  # Eq. 36: (i - j // b) mod m
+        return _wrap(i + (m - tables[0][lo:hi]), m)
+    q, jm = tables
     if p.name == "column_shuffle":
-        return red.sprime(i, j) if red else eq.sprime_v(dec, i, j)
-    if p.name == "inverse_column_shuffle":
-        return eq.sprime_inverse_v(dec, i, j)
-    raise ValueError(f"pass {p.name!r} has no gather equation")
+        return _wrap(q[:, None] + jm[lo:hi], m)
+    return q[_wrap(i + (m - jm[lo:hi]), m)]
 
 
-def _gather_map(dec: Decomposition, name: str) -> np.ndarray:  # repro-lint: allow(eager-index-map) the lazy numpy-map builder: runs on a plan's first numpy execute and is charged to the plan cache
-    """Whole-matrix ``int32`` gather map of one gather pass (indices are
-    bounded by ``max(m, n) < 2**31``, so int32 halves the footprint)."""
-    if name == "row_shuffle":
-        full = eq.dprime_inverse_matrix(dec)
-    elif name == "row_shuffle_r2c":
-        full = eq.dprime_matrix(dec)
-    elif name == "column_shuffle":
-        full = eq.sprime_matrix(dec)
-    else:
-        full = eq.sprime_inverse_matrix(dec)
-    return full.astype(np.int32)
-
-
-def _record(san, dec: Decomposition, p: Pass, lo: int, hi: int, index, tiles: int) -> None:  # repro-lint: allow(raw-divmod, implicit-copy) O(c) group filter and flat index arrays, not matrix views
-    """Shadow-memory footprint of one chunk: the flat elements it reads
-    (through the same index block the gather uses) and writes, in global
-    coordinates, once per tile."""
+def _record(san, dec: Decomposition, p: Pass, lo: int, hi: int, index, tiles: int) -> None:
+    """Shadow-memory footprint of one sub-band — rows or columns
+    ``[lo, hi)`` — before it moves: the flat elements it reads and writes
+    (through the index block the pass moves data with; a roll has none),
+    in global coordinates, once per tile."""
     n = dec.n
-    if p.kind == "rotate_groups":
-        groups = np.arange(lo, hi, dtype=np.int64)
-        groups = groups[groups % dec.m != 0]
-        cols = (groups[:, None] * dec.b + np.arange(dec.b)).reshape(-1)
-        reads = writes = np.arange(dec.m, dtype=np.int64)[:, None] * n + cols
-        where = f"groups[{lo}:{hi}]"
-    elif p.axis == "rows":
-        i = np.arange(lo, hi, dtype=np.int64)[:, None]
-        reads = i * n + index
-        writes = i * n + np.arange(n, dtype=np.int64)
+    if p.axis == "rows":
+        i = np.arange(lo, hi, dtype=np.int64)[:, None] * n
+        row, via = i + np.arange(n, dtype=np.int64), i + index
+        reads, writes = (row, via) if p.name == "row_shuffle" else (via, row)
         where = f"rows[{lo}:{hi}]"
     else:
-        j = np.arange(lo, hi, dtype=np.int64)[None, :]
-        reads = np.asarray(index, dtype=np.int64) * n + j
+        j = np.arange(lo, hi, dtype=np.int64)
         writes = np.arange(dec.m, dtype=np.int64)[:, None] * n + j
+        reads = writes if index is None else index * n + j
         where = f"cols[{lo}:{hi}]"
     size = dec.m * n
     for t in range(tiles):
@@ -270,10 +281,6 @@ def _record(san, dec: Decomposition, p: Pass, lo: int, hi: int, index, tiles: in
             reads=t * size + reads, writes=t * size + writes,
             where=where if tiles == 1 else f"tile {t} {where}",
         )
-
-
-def _broadcast(index: np.ndarray, target: np.ndarray) -> np.ndarray:
-    return index if index.ndim == target.ndim else np.broadcast_to(index, target.shape)
 
 
 def numpy_chunk(
@@ -284,44 +291,60 @@ def numpy_chunk(
     hi: int,
     origin: int = 0,
     *,
-    index: np.ndarray | None = None,
-    red: ReducedEquations | None = None,
     san=None,
 ) -> None:
     """Run pass ``p`` over global iterations ``[lo, hi)`` of ``B``, in place.
 
-    ``B`` is the executing view (``(M, N)``, or ``(k, M, N)`` tiles that the
-    pass permutes alike) or a band of it: rows ``[origin, ...)`` for a row
-    pass, columns ``[origin, ...)`` for a column pass, column groups
-    ``[origin, ...)`` for a rotation.  Every chunk reads only its own rows
-    or columns, so a band copy sees exactly the data the chunk needs.
-    ``index`` is the chunk's precomputed gather block (a view of a plan's
-    maps); without it the block comes from :func:`index_block`.  With
-    ``san`` the chunk's footprint is recorded before anything moves.
+    ``B`` is the contiguous executing view (``(M, N)``, or ``(k, M, N)``
+    tiles that the pass permutes alike) or a contiguous band of it: rows
+    ``[origin, ...)`` for a row pass, columns ``[origin, ...)`` for a
+    column pass, column groups ``[origin, ...)`` for a rotation.  Every
+    chunk reads only its own rows or columns, so a band copy sees exactly
+    the data the chunk needs.
+
+    The chunk runs in sub-bands of at most :data:`L` rows or columns (a
+    rotation's groups count as their columns), each moved through flat
+    indices into ``B`` from its :func:`index_block`.  A rotation sub-band
+    inside one group is a plain roll of its rows instead (Lemma 1: the
+    group shares one rotation amount).  Auxiliary space is therefore
+    ``O(L * max(m, n))`` per tile.  With ``san`` each sub-band's footprint
+    is recorded before it moves.
     """
     tiles = B.shape[0] if B.ndim == 3 else 1
-    if p.kind == "rotate_groups":
+    if p.axis == "groups":  # a chunk of groups is a band of their columns
+        lo, hi, origin = lo * dec.b, hi * dec.b, origin * dec.b
+    tables = index_tables(dec, p)
+    N = B.shape[-1]
+    for s in range(lo, hi, L):
+        e = min(s + L, hi)
+        local = slice(s - origin, e - origin)
+        if p.axis == "groups" and tables[0][s] == tables[0][e - 1]:
+            # one group, so one rotation amount (Lemma 1): a plain row roll
+            g = int(tables[0][s])
+            if g:
+                if san is not None:
+                    _record(san, dec, p, s, e, None, tiles)
+                shift = -g if p.name == "pre_rotate" else g
+                B[..., local] = np.roll(B[..., local], shift, axis=-2)
+            continue
+        index = index_block(dec, p, tables, s, e)
         if san is not None:
-            _record(san, dec, p, lo, hi, None, tiles)
-        sign = -1 if p.name == "pre_rotate" else 1
-        b = dec.b
-        for g in range(lo, hi):
-            k = g % dec.m  # repro-lint: allow(raw-divmod) O(c) per-group setup, not per-element
-            if k:
-                cols = slice((g - origin) * b, (g - origin + 1) * b)
-                B[..., cols] = np.roll(B[..., cols], sign * k, axis=-2)
-        return
-    if index is None:
-        index = index_block(dec, p, lo, hi, red)
-    if san is not None:
-        _record(san, dec, p, lo, hi, index, tiles)
-    local = slice(lo - origin, hi - origin)
-    if p.axis == "rows":
-        sub = B[..., local, :]
-        B[..., local, :] = np.take_along_axis(sub, _broadcast(index, sub), axis=-1)
-    else:
-        sub = B[..., local]
-        B[..., local] = np.take_along_axis(sub, _broadcast(index, sub), axis=-2)
+            _record(san, dec, p, s, e, index, tiles)
+        # flat indices into B: the block's own rows or columns, then tiles
+        at = np.arange(local.start, local.stop, dtype=np.int64)
+        if p.axis == "rows":
+            index += at[:, None] * N
+        else:
+            index *= N
+            index += at
+        if tiles > 1:
+            index = index + np.arange(0, B.size, B[0].size, dtype=np.int64)[:, None, None]
+        if p.axis != "rows":
+            B[..., local] = np.take(B, index)
+        elif p.name == "row_shuffle":  # scatter through d'
+            np.put(B, index, B[..., local, :].copy())
+        else:
+            B[..., local, :] = np.take(B, index)
 
 
 # -- native dispatch ---------------------------------------------------------------
@@ -391,7 +414,7 @@ def pass_point(prefix: str, p: Pass, *, size: int = 0, san=None, **attrs):
 
 def chunk_body(
     plan: "TransposePlan", B: np.ndarray, i: int, *, origin: int = 0,
-    kernel=None, red=None, san=None, backend: str = "threads",
+    kernel=None, san=None, backend: str = "threads",
 ):
     """A ``parallel_for`` body running pass ``i`` of ``plan`` on ``B``.
 
@@ -406,14 +429,14 @@ def chunk_body(
     def body(local: slice) -> None:
         lo, hi = origin + local.start, origin + local.stop
         if not tracer.enabled:
-            plan.run_chunk(B, i, lo, hi, origin, kernel=kernel, red=red, san=san)
+            plan.run_chunk(B, i, lo, hi, origin, kernel=kernel, san=san)
             return
         r0, r1, c0, c1 = chunk_rect(dec, p, lo, hi)
         with tracer.span(
             "worker.chunk", stage=p.name, r0=r0, r1=r1, c0=c0, c1=c1,
             bytes=2 * (r1 - r0) * (c1 - c0) * itemsize, backend=backend,
         ):
-            plan.run_chunk(B, i, lo, hi, origin, kernel=kernel, red=red, san=san)
+            plan.run_chunk(B, i, lo, hi, origin, kernel=kernel, san=san)
 
     return body
 
@@ -462,12 +485,17 @@ class TransposePlan:
 
     Notes
     -----
-    The plan's state is ``O(1)``.  Its first numpy execute builds ``int32``
-    gather maps (``8`` bytes per element), charged to the plan cache and
-    reported by ``scratch_bytes``; native executes never build them.
+    The plan's state is ``O(1)``: native and numpy executes alike build
+    their index state per call, in ``O(max(m, n))`` tables and bounded
+    sub-bands, and keep none of it.
     """
 
+    #: bytes of index state a plan holds between executes: none
+    scratch_bytes = 0
+
     def __init__(self, m: int, n: int, order: str = "C", algorithm: str = "auto"):
+        if m <= 0 or n <= 0:
+            raise ValueError(f"matrix dimensions must be positive, got {m} x {n}")
         if order not in ("C", "F"):
             raise ValueError(f"unknown order {order!r}")
         if algorithm == "auto":
@@ -479,43 +507,9 @@ class TransposePlan:
         # Theorem 7: C2R runs on the (vm, vn) view, R2C on (vn, vm).
         self.dec = Decomposition.of(vm, vn) if algorithm == "c2r" else Decomposition.of(vn, vm)
         self.passes = schedule(self.dec, algorithm)
-        self._maps: dict[str, np.ndarray] | None = None
-        self._maps_lock = threading.Lock()
-
-    @property
-    def scratch_bytes(self) -> int:
-        """Bytes held by the lazily built numpy gather maps (0 until the
-        first numpy execute)."""
-        maps = self._maps
-        return sum(a.nbytes for a in maps.values()) if maps else 0
-
-    def _numpy_maps(self) -> dict[str, np.ndarray]:
-        """The gather maps of the whole-matrix numpy path, built once and
-        charged to this plan's plan-cache entry."""
-        maps = self._maps
-        if maps is not None:
-            return maps
-        with self._maps_lock:
-            maps = self._maps
-            if maps is not None:
-                return maps
-            maps = {
-                p.name: _gather_map(self.dec, p.name)
-                for p in self.passes
-                if p.kind != "rotate_groups"
-            }
-            self._maps = maps
-        from ..runtime import plan_cache
-
-        # Outside the lock: the charge can evict this plan, whose hook
-        # drops the maps again (this call still holds its reference).
-        plan_cache.charge(self, sum(a.nbytes for a in maps.values()))
-        return maps
 
     def on_cache_evict(self) -> None:
-        """Plan-cache eviction hook: drop the numpy maps and unlink any
-        compiled kernel artifacts."""
-        self._maps = None
+        """Plan-cache eviction hook: unlink any compiled kernel artifacts."""
         native().release_plan_kernels(self)
 
     def kernel(self, nelems: int, itemsize: int, backend: str | None = None):
@@ -541,7 +535,7 @@ class TransposePlan:
 
     def run_chunk(
         self, B: np.ndarray, i: int, lo: int, hi: int, origin: int = 0, *,
-        kernel=None, index=None, red=None, san=None,
+        kernel=None, san=None,
     ) -> None:
         """Pass ``i`` over global ``[lo, hi)`` of ``B`` (geometry as in
         :func:`numpy_chunk`): natively when ``kernel`` is given, with numpy
@@ -556,7 +550,7 @@ class TransposePlan:
                 native().record_fallback(
                     f"scratch allocation failed in pass {p.name}"
                 )
-        numpy_chunk(B, self.dec, p, lo, hi, origin, index=index, red=red, san=san)
+        numpy_chunk(B, self.dec, p, lo, hi, origin, san=san)
 
     def execute(self, buf: np.ndarray, *, backend: str | None = None) -> np.ndarray:
         """Transpose every ``m x n`` matrix of ``buf`` in place; returns ``buf``.
@@ -600,7 +594,6 @@ class TransposePlan:
             kernel = None
         else:
             kernel = self.kernel(buf.size, buf.dtype.itemsize, backend)
-        maps = self._numpy_maps() if kernel is None else {}
         prefix = "plan" if buf.ndim == 1 and k == 1 else "batched"
         B = V[0] if k == 1 else V
         addr = B.ctypes.data
@@ -627,10 +620,7 @@ class TransposePlan:
                         kernel = None
                         done = getattr(exc, "tile", 0)
                 if done < k:
-                    self.run_chunk(
-                        B if done == 0 else V[done:], i, 0, p.extent,
-                        index=maps.get(p.name), san=san,
-                    )
+                    self.run_chunk(B if done == 0 else V[done:], i, 0, p.extent, san=san)
         if registry.enabled:
             if ran_native:
                 registry.inc("native.calls")

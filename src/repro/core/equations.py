@@ -53,6 +53,7 @@ __all__ = [
     "dprime_inverse_v",
     "sprime_v",
     "sprime_inverse_v",
+    "dprime_tables",
     "rotate_p_v",
     "rotate_p_inverse_v",
     "permute_q_v",
@@ -247,6 +248,20 @@ def permute_q_inverse_v(dec: Decomposition, i) -> np.ndarray:
 def sprime_inverse_v(dec: Decomposition, i, j) -> np.ndarray:
     """Vectorized fused inverse column shuffle (see :func:`sprime_inverse`)."""
     return permute_q_inverse_v(dec, rotate_p_inverse_v(dec, i, j))
+
+
+def dprime_tables(dec: Decomposition) -> tuple[np.ndarray, np.ndarray]:
+    """Tables of Eq. 24 for evaluating ``d'`` in row bands.
+
+    Returns ``(u, w)`` with ``u[t] = (t mod m) mod n`` for ``t < m + c``
+    and ``w[j] = j*m mod n`` for ``j < n``, so that
+    ``d'_i(j) = (u[i + j//b] + w[j]) mod n`` with the sum below ``2n``.  A
+    row band of ``d'`` costs one ``(rows, c)`` table gather, widened ``b``
+    times (the ``b`` columns of a group share ``j // b``), one add and one
+    conditional subtraction, from ``O(max(m, n))`` tables.
+    """
+    t = np.arange(dec.m + dec.c, dtype=np.int64)
+    return t % dec.m % dec.n, np.arange(dec.n, dtype=np.int64) * dec.m % dec.n
 
 
 # ---------------------------------------------------------------------------

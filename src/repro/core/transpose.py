@@ -85,11 +85,12 @@ def transpose_inplace(
         The default fast path (``variant="gather"``, ``aux="blocked"``, no
         counter) executes through a :class:`~repro.core.plan.TransposePlan`
         held in the process-wide :mod:`repro.runtime.plan_cache`, so repeated
-        same-shape calls skip index-map construction entirely.  Pass
-        ``False`` to force per-call planning; ``True`` on a non-default
-        configuration raises (strict/scatter paths have no cached form).
-        The cached and uncached paths run the same blocked gather passes and
-        produce identical buffers (pinned by ``tests/runtime``).
+        same-shape calls reuse one plan and its compiled kernel.  Pass
+        ``False`` to force per-call planning through the blocked kernels of
+        :mod:`repro.core.c2r`; ``True`` on a non-default configuration
+        raises (strict/scatter paths have no cached form).  The cached and
+        uncached paths produce identical buffers (pinned by
+        ``tests/runtime``).
     backend:
         Execution engine for the cached plan path (see
         :meth:`~repro.core.plan.TransposePlan.execute` and
@@ -137,10 +138,10 @@ def transpose_inplace(
         from ..runtime import plan_cache
 
         # TransposePlan folds order/algorithm exactly like the kernel path
-        # below and runs the identical blocked gather passes (off int32
-        # maps it builds on its first numpy execute).  Guard contiguity
-        # here as the kernels do: reshape of a strided view would silently
-        # copy instead of permuting.
+        # below and runs the same passes, in bounded numpy sub-bands when
+        # no compiled kernel runs them.  Guard contiguity here as the
+        # kernels do: reshape of a strided view would silently copy
+        # instead of permuting.
         if not buf.flags["C_CONTIGUOUS"]:
             raise ValueError(
                 "in-place transposition requires a contiguous buffer "

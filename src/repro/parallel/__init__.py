@@ -17,7 +17,6 @@ lengths thwart parallelization.
   serving tier's zero-copy ingress.
 """
 
-from .cache_aware import CacheAwareParallelTranspose
 from .cpu import ParallelTranspose, parallel_transpose_inplace
 from .executor import ParallelExecutor, PassExecutionError, default_worker_count
 from .partition import balanced_chunks
@@ -26,7 +25,6 @@ __all__ = [
     "ParallelExecutor",
     "ParallelTranspose",
     "PassExecutionError",
-    "CacheAwareParallelTranspose",
     "balanced_chunks",
     "default_worker_count",
     "parallel_transpose_inplace",

@@ -1,9 +1,6 @@
 """Parallel in-place CPU transpose (Section 5.1).
 
-A direct parallelization of Algorithm 1, with the paper's two CPU
-optimizations: a completely gather-based formulation (rows gather with
-``d'^{-1}``, Eq. 31) and strength-reduced index arithmetic (Section 4.4,
-via :class:`~repro.strength.reduced.ReducedEquations`).
+A direct parallelization of Algorithm 1.
 
 Each pass of the engine's schedule (:mod:`repro.core.engine`) is a chunked
 parallel-for over rows, columns or column groups; chunks touch disjoint
@@ -38,10 +35,6 @@ class ParallelTranspose:
     ----------
     n_threads:
         Worker count (1 = the sequential baseline of Table 1).
-    strength_reduced:
-        Use fixed-point-reciprocal index math (on by default, as in the
-        paper's CPU implementation); falls back to plain ``//``/``%`` for
-        shapes outside the reduced range.
     native:
         ``"auto"`` (default) runs each chunk through the compiled per-plan
         kernel of :mod:`repro.native` when one is available — the ctypes
@@ -52,17 +45,10 @@ class ParallelTranspose:
         index).
     """
 
-    def __init__(
-        self,
-        n_threads: int = 1,
-        *,
-        strength_reduced: bool = True,
-        native: str = "auto",
-    ):
+    def __init__(self, n_threads: int = 1, *, native: str = "auto"):
         if native not in ("auto", "off"):
             raise ValueError(f"unknown native mode {native!r}; use 'auto' or 'off'")
         self.n_threads = int(n_threads)
-        self.strength_reduced = strength_reduced
         self.native = native
         self.executor = ParallelExecutor(n_threads)
 
@@ -76,9 +62,6 @@ class ParallelTranspose:
         kernel = None
         if self.native == "auto" and san is None:
             kernel = plan.kernel(buf.size, buf.dtype.itemsize)
-        red = (
-            engine.reduced_equations(plan.dec) if self.strength_reduced else None
-        )
         label = "native" if kernel is not None else "threads"
         t0 = perf_counter() if registry.enabled else 0.0
         with tracer.span(
@@ -86,9 +69,7 @@ class ParallelTranspose:
             threads=self.n_threads, dtype=str(buf.dtype),
         ) if tracer.enabled else NULL_CM:
             for i, p in enumerate(plan.passes):
-                body = chunk_body(
-                    plan, V, i, kernel=kernel, red=red, san=san, backend=label,
-                )
+                body = chunk_body(plan, V, i, kernel=kernel, san=san, backend=label)
                 with pass_point(
                     "parallel", p, size=buf.size, san=san, m=m, n=n,
                     bytes=2 * buf.nbytes, backend=label,

@@ -1,8 +1,8 @@
 """repro.runtime — the instrumented serving layer.
 
-Production pipelines transpose the *same shapes over and over*; the paper's
-cost model (Section 4) prices index-map construction at a full data pass, so
-repeated traffic wants plans built once and reused.  This subpackage holds
+Production pipelines transpose the *same shapes over and over*, and
+compiling a shape's native kernel costs far more than one pass over its
+data, so repeated traffic wants plans built once and reused.  This subpackage holds
 the two process-wide services that make the library behave like a server
 rather than a collection of kernels:
 
@@ -10,7 +10,7 @@ rather than a collection of kernels:
     A thread-safe LRU cache of :class:`~repro.core.plan.TransposePlan`
     objects keyed by ``(m, n, order, algorithm, dtype)`` — one entry per
     shape, any batch size — with a byte budget over what plans acquire
-    (numpy gather maps, compiled kernels) and hit/miss/eviction stats.
+    (compiled kernels) and hit/miss/eviction stats.
 
 ``repro.runtime.metrics``
     Per-pass timers, bytes-moved and elements-touched counters, and a JSON

@@ -1,11 +1,9 @@
 """A thread-safe, process-wide LRU cache of transpose plans.
 
-Section 4's cost analysis shows that materializing the gather maps
-(``d'^{-1}``/``s'``) costs about as much as one pass over the data — so a
-workload that transposes the same shape repeatedly (AoS/SoA conversion,
-batched FFT-style pipelines, attention-head reshapes) pays the planning tax
-on every call unless something amortizes it.  This module is that something:
-a process-wide LRU keyed by
+A workload that transposes the same shape repeatedly (AoS/SoA conversion,
+batched FFT-style pipelines, attention-head reshapes) should resolve its
+plan, and compile its native kernel, once rather than on every call.  This
+module does that: a process-wide LRU keyed by
 
     ``(m, n, order, algorithm, dtype)``
 
@@ -13,10 +11,10 @@ mapping to :class:`~repro.core.plan.TransposePlan` objects — one entry per
 shape, whatever batch sizes it is executed with.  Plans are safe to execute
 from any number of threads concurrently (see ``tests/test_concurrency.py``).
 
-A plan's own state is ``O(1)``; what it acquires later is charged to its
-entry through :func:`charge` / :meth:`PlanCache.adjust_bytes`: the numpy
-gather maps its first numpy execute builds, and the native backend's
-compiled ``.so`` files.  The cache enforces a configurable **byte budget**
+A plan's own state is ``O(1)``, and its numpy executes keep nothing (their
+index tables live for one call).  What it acquires later — the native
+backend's compiled ``.so`` files — is charged to its entry through
+:func:`charge` / :meth:`PlanCache.adjust_bytes`.  The cache enforces a configurable **byte budget**
 over those charges (default 256 MiB, env ``REPRO_PLAN_CACHE_BYTES``):
 least-recently-used plans are evicted once the budget is exceeded, and an
 entry that outgrows the whole budget on its own is dropped rather than
@@ -28,8 +26,7 @@ cache can be disabled entirely with :func:`configure` or
 Retained plans are stamped with a ``_plan_cache_binding`` back-reference
 (removed again on eviction) so those charges find their entry.  Eviction
 (LRU, budget shrink, or :meth:`PlanCache.clear`) invokes the plan's
-``on_cache_evict`` hook outside the lock, which drops the maps and releases
-the artifacts.
+``on_cache_evict`` hook outside the lock, which releases the artifacts.
 
 Hit/miss/eviction counts are part of :func:`repro.runtime.metrics.snapshot`.
 """
@@ -108,13 +105,13 @@ class PlanCache:
 
     # -- lookup ----------------------------------------------------------------
 
-    def get_or_build(self, key: PlanKey, factory, size_of) -> object:
+    def get_or_build(self, key: PlanKey, factory) -> object:
         """Return the cached plan for ``key``, building it on a miss.
 
-        ``factory`` builds the plan; ``size_of`` maps a plan to its resident
-        byte footprint (used against the budget).  When the cache is
-        disabled the factory result is returned without being retained and
-        no statistics move.
+        ``factory`` builds the plan, which enters at 0 bytes (its state is
+        ``O(1)``; later acquisitions arrive through :meth:`adjust_bytes`).
+        When the cache is disabled the factory result is returned without
+        being retained and no statistics move.
         """
         if not self.enabled:
             return factory()
@@ -136,7 +133,6 @@ class PlanCache:
         t0 = perf_counter()
         plan = factory()
         dt = perf_counter() - t0
-        nbytes = int(size_of(plan))
         evicted: list[tuple[PlanKey, object, int]] = []
         with self._lock:
             self.build_seconds += dt
@@ -146,18 +142,11 @@ class PlanCache:
                 self.races += 1
                 self._plans.move_to_end(key)
                 return self._plans[key][0]
-            if nbytes > self.max_bytes:
-                self.oversize_rejects += 1
-                return plan
-            # The binding lets what the plan acquires later (numpy maps,
-            # native kernel .so files) charge its size to this entry.
+            # The binding lets what the plan acquires later (native kernel
+            # .so files) charge its size to this entry.
             plan.__dict__["_plan_cache_binding"] = (self, key)
-            self._plans[key] = (plan, nbytes)
-            self.current_bytes += nbytes
-            while len(self._plans) > 1 and (
-                self.current_bytes > self.max_bytes
-                or len(self._plans) > MAX_ENTRIES
-            ):
+            self._plans[key] = (plan, 0)
+            while len(self._plans) > MAX_ENTRIES:
                 evicted.append(self._evict_locked(next(iter(self._plans))))
         self._fire_evictions(evicted)
         return plan
@@ -204,8 +193,8 @@ class PlanCache:
         """Re-account ``key``'s entry by ``delta`` bytes.
 
         Used when a retained plan's resident footprint changes after
-        insertion — its numpy gather maps and each compiled ``.so`` are
-        charged here, so they live under the cache's budget.  Unknown keys
+        insertion — each compiled ``.so`` is charged here, so it lives
+        under the cache's budget.  Unknown keys
         are ignored (the plan was evicted meanwhile, never retained, or the
         cache is disabled).  An entry that now exceeds the whole budget is
         dropped on its own (counted under ``oversize_rejects``); otherwise
@@ -328,9 +317,8 @@ def stats() -> dict:
 
 
 def charge(plan, nbytes: int) -> None:
-    """Charge ``nbytes`` a plan acquired after insertion (numpy maps, a
-    compiled artifact) to its cache entry; a no-op for plans no cache
-    retains."""
+    """Charge ``nbytes`` a plan acquired after insertion (a compiled
+    artifact) to its cache entry; a no-op for plans no cache retains."""
     binding = plan.__dict__.get("_plan_cache_binding")
     if binding is not None:
         cache, key = binding
@@ -352,11 +340,7 @@ def get_single_plan(
         algorithm = choose_algorithm(m, n)
     key = PlanKey(m, n, order, algorithm, str(dtype))
     target = cache if cache is not None else _GLOBAL
-    return target.get_or_build(
-        key,
-        lambda: TransposePlan(m, n, order, algorithm),
-        lambda plan: plan.scratch_bytes,
-    )
+    return target.get_or_build(key, lambda: TransposePlan(m, n, order, algorithm))
 
 
 def get_batched_plan(

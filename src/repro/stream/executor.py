@@ -149,8 +149,7 @@ class BandedExecutor:
         ) if tracer.enabled else NULL_CM:
             B = window.load_rows(r0, r1) if rows else window.load_cols(c0, c1)
             body = chunk_body(
-                plan, B, i, origin=band.start, kernel=kernel,
-                red=engine.reduced_equations(dec), san=san,
+                plan, B, i, origin=band.start, kernel=kernel, san=san,
                 backend="native" if kernel is not None else "stream",
             )
             self.executor.parallel_for(band.stop - band.start, body, name=p.name)

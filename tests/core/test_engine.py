@@ -4,6 +4,8 @@ share."""
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -132,3 +134,81 @@ def test_read_only_buffers_never_reach_a_kernel(monkeypatch):
         with pytest.raises(ValueError, match="writeable"):
             pt.transpose_inplace(buf, M, N)
     np.testing.assert_array_equal(buf, np.arange(M * N, dtype=np.float32))
+
+
+#: bytes of auxiliary space per ``L * max(m, n)`` a numpy pass may peak at
+#: (18-28 measured on the shapes below)
+SPACE_C = 32
+
+
+def _peak_bytes(run) -> int:
+    """Peak traced allocation while ``run()`` executes."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _transposed(buf: np.ndarray, m: int, n: int) -> np.ndarray:
+    return np.ascontiguousarray(buf.reshape(m, n).T).reshape(-1)
+
+
+class TestNumpySpaceBound:
+    """The paper's O(max(m, n)) auxiliary space on every numpy path: a
+    first numpy execute peaks below ``SPACE_C * L * max(m, n)`` bytes,
+    which is below the matrix's own size.  Each path is warmed on a tiny
+    shape first so its lazy imports are not counted."""
+
+    @staticmethod
+    def _bound(buf: np.ndarray, m: int, n: int) -> int:
+        bound = SPACE_C * engine.L * max(m, n)
+        assert bound < buf.nbytes
+        return bound
+
+    # c = 1 (no rotations); c = 2, whose 500-column groups rotate in slices
+    @pytest.mark.parametrize("m,n", [(1000, 1499), (1000, 1502)])
+    def test_fresh_plan_execute(self, m, n):
+        engine.TransposePlan(4, 6).execute(np.zeros(24), backend="numpy")
+        buf = np.arange(m * n, dtype=np.float32)
+        expected = _transposed(buf, m, n)
+        plan = engine.TransposePlan(m, n)
+        peak = _peak_bytes(lambda: plan.execute(buf, backend="numpy"))
+        assert peak <= self._bound(buf, m, n), peak
+        np.testing.assert_array_equal(buf, expected)
+
+    def test_parallel_transpose_without_native(self):
+        m, n = 1000, 1502
+        buf = np.arange(m * n, dtype=np.float32)
+        expected = _transposed(buf, m, n)
+        with ParallelTranspose(1, native="off") as pt:
+            pt.transpose_inplace(np.zeros(24), 4, 6)
+            peak = _peak_bytes(lambda: pt.transpose_inplace(buf, m, n))
+        assert peak <= self._bound(buf, m, n), peak
+        np.testing.assert_array_equal(buf, expected)
+
+    def test_streamed_band(self, tmp_path, monkeypatch):
+        """A window that holds the whole matrix runs each pass as one band:
+        beyond the band copy itself the pass stays within the bound."""
+        monkeypatch.setenv("REPRO_NATIVE", "0")
+        small = tmp_path / "small.bin"
+        np.zeros(24, dtype=np.float32).tofile(small)
+        transpose_file_inplace(small, 4, 6, np.float32)
+        m, n = 1000, 1502
+        buf = np.arange(m * n, dtype=np.float32)
+        f = tmp_path / "m.bin"
+        buf.tofile(f)
+        stats = {}
+
+        def run():
+            stats.update(transpose_file_inplace(
+                f, m, n, np.float32, window_bytes=buf.nbytes
+            ))
+
+        peak = _peak_bytes(run)
+        assert stats["bands"] == stats["passes"]
+        assert peak <= buf.nbytes + self._bound(buf, m, n), peak
+        np.testing.assert_array_equal(
+            np.fromfile(f, dtype=np.float32), _transposed(buf, m, n)
+        )

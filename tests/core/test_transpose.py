@@ -241,10 +241,18 @@ class TestPlan:
     def test_plan_repr_and_footprint(self):
         plan = TransposePlan(8, 6, "C", "c2r")
         assert "c2r" in repr(plan)
-        # O(1) until the first numpy execute builds the gather maps
+        # O(1) for good: a numpy execute keeps none of its index tables
         assert plan.scratch_bytes == 0
         plan.execute(np.arange(48, dtype=np.float64), backend="numpy")
-        assert plan.scratch_bytes > 0
+        assert plan.scratch_bytes == 0
+
+    @pytest.mark.parametrize("m,n", [(0, 5), (5, 0), (-2, 3)])
+    def test_dimension_error_names_the_callers_shape(self, m, n):
+        # R2C runs on the swapped view; the message must not swap too
+        with pytest.raises(ValueError, match=f"got {m} x {n}$"):
+            transpose_inplace(np.zeros(0), m, n)
+        with pytest.raises(ValueError, match=f"got {m} x {n}$"):
+            TransposePlan(m, n, "F")
 
     def test_plan_rejects_bad_args(self):
         with pytest.raises(ValueError):

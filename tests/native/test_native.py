@@ -510,16 +510,26 @@ class TestSanitizedNative:
         assert _counters().get("native.fallback", 0) >= 1
         assert _counters().get("native.compile", 0) == 0
 
-    def test_batched_sanitizer_catches_out_of_range_gather(self):
+    def test_batched_sanitizer_catches_out_of_range_gather(self, monkeypatch):
         from repro.analysis.racecheck import SanitizerError
+        from repro.core import engine
         from repro.core.batched import BatchedTransposePlan
 
         k, m, n = 2, 12, 18
         plan = BatchedTransposePlan(m, n)
-        # Corrupt the engine's index source: the whole-matrix numpy path
-        # gathers every tile through the plan's lazily built maps.
-        gather = next(p for p in plan.passes if p.kind != "rotate_groups")
-        plan._numpy_maps()[gather.name].flat[0] = k * m * n
+        # Corrupt the engine's index source: every numpy sub-band of every
+        # tile gathers through a block built from its pass's tables, and a
+        # column pass's first table is its row permutation.
+        gather = next(p for p in plan.passes if p.axis == "cols")
+        index_tables = engine.index_tables
+
+        def corrupt(dec, p):
+            tables = index_tables(dec, p)
+            if p is gather:
+                tables[0][0] = k * m * n
+            return tables
+
+        monkeypatch.setattr(engine, "index_tables", corrupt)
         with pytest.raises(SanitizerError) as exc:
             plan.execute(np.arange(k * m * n, dtype=np.int64))
         assert exc.value.kind == "out-of-bounds read"

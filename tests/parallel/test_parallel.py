@@ -140,29 +140,27 @@ class TestTransposeAbortsOnPassFailure:
         """If row_shuffle fails, column_shuffle must never run: executing
         later passes over a half-permuted buffer would corrupt it further
         and mask the original error."""
-        from repro.core import equations as eq_mod
+        from repro.core import engine
 
         calls = []
-        orig_sprime = eq_mod.sprime_v
+        index_tables = engine.index_tables
 
-        def boom(dec, i, j):
-            raise ValueError("boom")
+        def source(dec, p):
+            if p.name == "row_shuffle":
+                raise ValueError("boom")
+            calls.append(p.name)
+            return index_tables(dec, p)
 
-        def spy_sprime(dec, i, j):
-            calls.append("column_shuffle")
-            return orig_sprime(dec, i, j)
-
-        monkeypatch.setattr(eq_mod, "dprime_inverse_v", boom)
-        monkeypatch.setattr(eq_mod, "sprime_v", spy_sprime)
+        monkeypatch.setattr(engine, "index_tables", source)
         m, n = 7, 13  # coprime: no pre-rotation, row_shuffle runs first
         buf = np.arange(m * n, dtype=np.float64)
         snapshot = buf.copy()
-        with ParallelTranspose(2, strength_reduced=False) as pt:
+        with ParallelTranspose(2, native="off") as pt:
             with pytest.raises(PassExecutionError) as ei:
                 pt.c2r(buf, m, n)
         assert ei.value.pass_name == "row_shuffle"
         assert calls == []  # column_shuffle never started
-        # the index map raised before any write: buffer is untouched
+        # the index source raised before any write: buffer is untouched
         np.testing.assert_array_equal(buf, snapshot)
 
 
@@ -198,19 +196,6 @@ class TestParallelTranspose:
         buf = A.ravel(order=order).copy()
         parallel_transpose_inplace(buf, m, n, order, n_threads=threads)
         np.testing.assert_array_equal(buf, A.T.ravel(order=order))
-
-    @given(dim_pairs)
-    @settings(max_examples=30, deadline=None)
-    def test_strength_reduction_toggle_identical(self, mn):
-        m, n = mn
-        A = np.arange(m * n, dtype=np.float64)
-        with_sr = A.copy()
-        without_sr = A.copy()
-        with ParallelTranspose(2, strength_reduced=True) as pt:
-            pt.c2r(with_sr, m, n)
-        with ParallelTranspose(2, strength_reduced=False) as pt:
-            pt.c2r(without_sr, m, n)
-        np.testing.assert_array_equal(with_sr, without_sr)
 
     def test_buffer_validated(self):
         with ParallelTranspose(1) as pt:

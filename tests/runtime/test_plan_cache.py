@@ -12,7 +12,6 @@ import pytest
 
 from repro import native
 from repro.core.batched import batched_transpose_inplace
-from repro.core.plan import TransposePlan
 from repro.core.transpose import transpose_inplace
 from repro.runtime import metrics, plan_cache
 from repro.runtime.plan_cache import PlanCache, PlanKey
@@ -24,19 +23,16 @@ def _key(m: int, n: int, **kw) -> PlanKey:
     return PlanKey(**defaults)
 
 
+#: bytes each warmed plan acquires after insertion
+CHARGE = 4096
+
+
 def _warm(m: int, n: int, cache: PlanCache):
-    """Look up a plan and run it once on numpy, which builds its gather
-    maps and charges them to the plan's entry in ``cache``."""
+    """Look up a plan and charge ``CHARGE`` bytes to its entry in
+    ``cache``, the path a compiled kernel's artifact takes."""
     plan = plan_cache.get_single_plan(m, n, "C", "c2r", "float64", cache=cache)
-    plan.execute(np.arange(m * n, dtype=np.float64), backend="numpy")
+    plan_cache.charge(plan, CHARGE)
     return plan
-
-
-def _map_bytes(m: int, n: int) -> int:
-    """Resident bytes of one plan's numpy gather maps."""
-    plan = TransposePlan(m, n, "C", "c2r")
-    plan.execute(np.arange(m * n, dtype=np.float64), backend="numpy")
-    return plan.scratch_bytes
 
 
 @pytest.fixture(autouse=True)
@@ -54,9 +50,9 @@ def _clean_global_cache():
 
 class TestLRUEviction:
     def test_evicts_least_recently_used_under_byte_budget(self):
-        # Plans are O(1) until a numpy execute charges their maps, so each
-        # shape is warmed; the budget has room for two maps, not three.
-        budget = int(_map_bytes(24, 36) * 2.5)
+        # Plans are O(1) until something is charged to them, so each shape
+        # is warmed; the budget has room for two charges, not three.
+        budget = int(CHARGE * 2.5)
         cache = PlanCache(max_bytes=budget)
         for mm in (24, 25, 26):
             _warm(mm, 36, cache)
@@ -69,7 +65,7 @@ class TestLRUEviction:
         assert _key(26, 36) in cache
 
     def test_hit_refreshes_recency(self):
-        cache = PlanCache(max_bytes=int(_map_bytes(24, 36) * 2.5))
+        cache = PlanCache(max_bytes=int(CHARGE * 2.5))
         _warm(24, 36, cache)
         _warm(25, 36, cache)
         plan_cache.get_single_plan(24, 36, "C", "c2r", "float64", cache=cache)  # hit
@@ -79,7 +75,7 @@ class TestLRUEviction:
         assert _key(25, 36) not in cache
 
     def test_oversize_plan_is_returned_but_never_retained(self):
-        # The O(1) plan fits; its maps outgrow the whole budget on their
+        # The O(1) plan fits; its charge outgrows the whole budget on its
         # own, so the entry is dropped (without flushing anything else)
         # while the caller keeps a working plan.
         cache = PlanCache(max_bytes=64)
@@ -249,7 +245,7 @@ class TestConcurrency:
         assert len(cache) == 1
 
     def test_concurrent_eviction_pressure_stays_consistent(self):
-        cache = PlanCache(max_bytes=int(_map_bytes(24, 36) * 3.5))
+        cache = PlanCache(max_bytes=int(CHARGE * 3.5))
         start = threading.Barrier(4)
         errors: list[Exception] = []
 
@@ -335,14 +331,6 @@ class TestSpaceBound:
                 assert batched is single
                 assert single.scratch_bytes <= bound, (m, n, order)
         assert plan_cache.stats()["current_bytes"] == 0
-
-    def test_numpy_maps_are_charged_to_the_cache(self):
-        m, n = 31, 37
-        plan = plan_cache.get_single_plan(m, n, "C", "auto", "float64")
-        transpose_inplace(np.arange(m * n, dtype=np.float64), m, n, backend="numpy")
-        # two int32 gather maps: 8 bytes per element, and all of it charged
-        assert plan.scratch_bytes == 8 * m * n
-        assert plan_cache.stats()["current_bytes"] == plan.scratch_bytes
 
     @pytest.mark.skipif(not native.available(), reason="no C toolchain")
     def test_native_execute_keeps_the_bound(self, tmp_path, monkeypatch):
