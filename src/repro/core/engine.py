@@ -319,7 +319,9 @@ def numpy_chunk(
         e = min(s + L, hi)
         local = slice(s - origin, e - origin)
         if p.axis == "groups" and tables[0][s] == tables[0][e - 1]:
-            # one group, so one rotation amount (Lemma 1): a plain row roll
+            # one group, so one rotation amount (Lemma 1): a plain row roll,
+            # two block copies with no index block to build or gather
+            # through, and nothing at all for a zero amount
             g = int(tables[0][s])
             if g:
                 if san is not None:

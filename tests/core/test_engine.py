@@ -106,20 +106,24 @@ class TestSchedule:
 @pytest.mark.parametrize("algorithm", ["c2r", "r2c"])
 def test_band_origin_chunks_compose_to_the_full_pass(algorithm):
     """The numpy body on a band copy, in global coordinates, lands exactly
-    what it lands on the whole view."""
-    dec = Decomposition.of(24, 36)
-    V = np.arange(dec.m * dec.n, dtype=np.int64).reshape(dec.m, dec.n)
-    for p in engine.schedule(dec, algorithm):
-        full = V.copy()
-        engine.numpy_chunk(full, dec, p, 0, p.extent)
-        banded = V.copy()
-        for band in ((0, p.extent // 2), (p.extent // 2, p.extent)):
-            r0, r1, c0, c1 = engine.chunk_rect(dec, p, *band)
-            B = banded[r0:r1, c0:c1].copy()
-            engine.numpy_chunk(B, dec, p, *band, origin=band[0])
-            banded[r0:r1, c0:c1] = B
-        np.testing.assert_array_equal(banded, full)
-        V = full
+    what it lands on the whole view.  130x390 puts several sub-bands of
+    up to ``L`` rows or columns in a band at a non-zero origin; 100x1002
+    has two groups of 501 columns, so the second band's rotation rolls
+    in-group slices from a scaled group origin."""
+    for shape in ((24, 36), (130, 390), (100, 1002)):
+        dec = Decomposition.of(*shape)
+        V = np.arange(dec.m * dec.n, dtype=np.int64).reshape(dec.m, dec.n)
+        for p in engine.schedule(dec, algorithm):
+            full = V.copy()
+            engine.numpy_chunk(full, dec, p, 0, p.extent)
+            banded = V.copy()
+            for band in ((0, p.extent // 2), (p.extent // 2, p.extent)):
+                r0, r1, c0, c1 = engine.chunk_rect(dec, p, *band)
+                B = banded[r0:r1, c0:c1].copy()
+                engine.numpy_chunk(B, dec, p, *band, origin=band[0])
+                banded[r0:r1, c0:c1] = B
+            np.testing.assert_array_equal(banded, full, err_msg=f"{shape} {p.name}")
+            V = full
 
 
 def test_read_only_buffers_never_reach_a_kernel(monkeypatch):
