@@ -124,7 +124,9 @@ def _cmd_transpose(args: argparse.Namespace) -> int:
             detail = (
                 f", {stats['bands']} band(s) @ "
                 f"{stats['window_bytes'] / 1e6:.0f} MB window, "
-                f"{stats['threads']} threads worker(s)"
+                f"{stats['threads']} threads worker(s), "
+                f"kernel {stats['kernel_s']:.3f}s, "
+                f"io wait {stats['io_wait_s']:.3f}s"
             )
         else:
             # --no-stream: the strict in-RAM reference path.  Loads the

@@ -95,11 +95,11 @@ def naive_transpose_copy(
     Reads ``src`` (``m x n``, row-major) in row blocks and writes each
     block as a column slab of ``dst`` (``n x m``) — the straightforward
     approach when a second file's worth of disk is acceptable.  Per block,
-    writeback is initiated and the pages are dropped on both sides — the
-    same residency/flush discipline the streamed path uses — so the
-    baseline runs with a bounded resident set and the comparison measures
-    the algorithms, not two different page-management policies.  The
-    final ``flush()`` is the durability barrier.
+    the pages are dropped on both sides — the same residency discipline
+    the streamed path uses — so the baseline runs with a bounded resident
+    set and the comparison measures the algorithms, not two different
+    page-management policies.  The final ``flush()`` is the durability
+    barrier.
 
     Returns ``{"seconds": ..., "bytes": ...}`` for the benchmark.
     """
@@ -126,9 +126,9 @@ def naive_transpose_copy(
             i1 = min(m, i0 + step)
             b[:, i0:i1] = a[i0:i1].T
             drop_pages(a._mmap, i0 * src_row, i1 * src_row)
-            # The written slab spans every dst row; initiate writeback
-            # and drop across the whole mapping so the resident set
-            # stays one slab.
+            # The written slab spans every dst row; drop across the
+            # whole mapping so the resident set stays one slab.  The
+            # MS_ASYNC msync starts no I/O on Linux (see window.py).
             sync_pages_async(b._mmap, 0, n * dst_row)
             drop_pages(b._mmap, 0, n * dst_row)
         b.flush()

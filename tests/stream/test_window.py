@@ -81,6 +81,63 @@ class TestResidentWindow:
         np.testing.assert_array_equal(got[:, :10], A[:, :10])
         np.testing.assert_array_equal(got[:, 20:], A[:, 20:])
 
+    def test_load_into_preallocated_buffer(self, tmp_path):
+        A = np.arange(30 * 16, dtype=np.int32).reshape(30, 16)
+        path = _write(tmp_path, A)
+        with ResidentWindow(path, 30, 16, np.int32) as w:
+            flat = np.full(30 * 16, -1, dtype=np.int32)
+            rows = flat[: 7 * 16].reshape(7, 16)
+            assert w.load_rows(3, 10, out=rows) is rows
+            np.testing.assert_array_equal(rows, A[3:10])
+            cols = flat[: 30 * 5].reshape(30, 5)
+            assert w.load_cols(4, 9, out=cols) is cols
+            np.testing.assert_array_equal(cols, A[:, 4:9])
+            with pytest.raises(ValueError, match="band needs"):
+                w.load_rows(0, 2, out=flat[:16].reshape(1, 16))
+            with pytest.raises(ValueError, match="band needs"):
+                w.load_cols(0, 2, out=np.empty((30, 2), dtype=np.int64))
+
+    @pytest.mark.parametrize("axis", ["rows", "cols"])
+    def test_band_copies_touch_one_io_block_at_a_time(
+        self, tmp_path, monkeypatch, axis
+    ):
+        """Row bands are copied in I/O blocks like column bands: every
+        block's pages are dropped before the next block is touched, so no
+        single drop spans more than one block (plus page slop)."""
+        from repro.stream import window as window_mod
+
+        A = np.arange(256 * 512, dtype=np.float64).reshape(256, 512)
+        path = _write(tmp_path, A)
+        spans: list[int] = []
+        orig = window_mod.drop_pages
+
+        def drop(mapping, lo, hi):
+            spans.append(hi - lo)
+            orig(mapping, lo, hi)
+
+        monkeypatch.setattr(window_mod, "drop_pages", drop)
+        block = 64 * 1024
+        with ResidentWindow(
+            path, 256, 512, np.float64, io_block_bytes=block
+        ) as w:
+            if axis == "rows":
+                band = w.load_rows(16, 240)
+                w.store_rows(16, 240, band + 1)
+            else:
+                band = w.load_cols(100, 400)
+                w.store_cols(100, 400, band + 1)
+            # a row is 4 KiB, so with a page of slop per row a 64 KiB
+            # block holds 8 rows of a row band and 10 of a column band
+            assert len(spans) == 2 * (28 if axis == "rows" else 26)
+            assert max(spans) <= block
+        got = np.fromfile(path, dtype=np.float64).reshape(256, 512)
+        want = A.copy()
+        if axis == "rows":
+            want[16:240] += 1
+        else:
+            want[:, 100:400] += 1
+        np.testing.assert_array_equal(got, want)
+
     def test_byte_accounting(self, tmp_path):
         A = np.zeros((16, 16), dtype=np.float64)
         path = _write(tmp_path, A)

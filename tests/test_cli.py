@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -88,6 +90,7 @@ class TestTransposeFileCommand:
                      "--window-bytes", "8k"]) == 0
         out = capsys.readouterr().out
         assert "band(s)" in out and "window" in out
+        assert re.search(r"kernel \d+\.\d{3}s, io wait \d+\.\d{3}s", out), out
         np.testing.assert_array_equal(
             np.fromfile(path, dtype=np.float64), A.T.ravel()
         )

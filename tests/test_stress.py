@@ -21,6 +21,7 @@ from repro.core import (
 from repro.core.tensor import swap_first_axes_inplace
 from repro.parallel import parallel_transpose_inplace
 from repro.simd.cpu import deinterleave
+from repro.stream import transpose_file_inplace
 
 
 @pytest.fixture(autouse=True)
@@ -114,3 +115,29 @@ class TestScale:
         transpose_inplace(A, m, n)
         V = A.reshape(n, m)
         assert V[100, 46_336] == np.int32(46_336 * n + 100)
+
+
+class TestStreamed:
+    @pytest.mark.parametrize("algorithm", ["c2r", "r2c"])
+    def test_pipelined_bands_tiny_window(self, tmp_path, algorithm):
+        """Many half-window bands per pass, rotations included (gcd 120,
+        so c > 1): under ``REPRO_SANITIZE=1`` every streamed pass runs the
+        numpy bodies inside the sanitizer's pass scope while the I/O
+        helper loads and stores the neighbouring bands."""
+        from repro.analysis import racecheck
+
+        m, n = 240, 360
+        A = np.arange(m * n, dtype=np.float32).reshape(m, n)
+        path = tmp_path / "s.bin"
+        A.tofile(path)
+        checked = racecheck.sanitizer.passes_checked
+        stats = transpose_file_inplace(
+            path, m, n, np.float32, algorithm=algorithm, window_bytes=32 * 1024
+        )
+        assert stats["bands"] >= 4 * stats["passes"]
+        if racecheck.sanitizer.enabled:
+            assert stats["backend"] == "numpy"
+            assert racecheck.sanitizer.passes_checked - checked == stats["passes"]
+        np.testing.assert_array_equal(
+            np.fromfile(path, dtype=np.float32).reshape(n, m), A.T
+        )
